@@ -166,8 +166,7 @@ def cmd_simulate_particles(args) -> int:
     particles.export_exits_csv(run.exits, exits_path)
     outputs.append(exits_path)
     if run.trajectory is not None:
-        traj_path = out / ("trajectory.jsonl" if args.format == "jsonl"
-                           else "trajectory.jsonl")
+        traj_path = out / "trajectory.jsonl"
         particles.export_trajectory_jsonl(run.trajectory, traj_path)
         outputs.append(traj_path)
 
@@ -319,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=["empty", "stationary"], default="empty")
     p.add_argument("--burn-in", type=float, default=0.0)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--no-trajectory", action="store_true")
     p.set_defaults(func=cmd_simulate_particles)
 

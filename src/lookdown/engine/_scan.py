@@ -1,19 +1,49 @@
 """Array kernels over event chunks.
 
-Scans locate "the next event with dst <= threshold" through blockwise
-vectorized comparisons; the threshold changes only at hits, so each hit
-restarts the block.  Cost is O(events examined) at numpy speed plus one
-python step per qualifying event.
+Every genealogical scan asks one question of the look-down graph: which is
+the next event, walking forward or backward, whose dst is at or below a
+level threshold that moves only at such events?  ``hits`` is the one
+cursor that answers it.  It draws chunks from ``stream.iter_chunks`` and
+finds each hit by a vectorized search over a block that starts small, grows
+after each miss and starts small again after each hit, so dense hits stay
+cheap and long runs of misses run at numpy speed.  The four scans below are
+short loops over its hits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-_BLOCK = 8192
+_BLOCK_MIN = 64
+_BLOCK_MAX = 8192
+
+
+def hits(stream, a: float, b: float, level, reverse: bool = False):
+    """Yield (time, src, dst) of each event with a <= time <= b and
+    dst <= level(), in ascending time order (descending when reverse).
+
+    level() is read at the start and again after each hit, so the caller
+    moves the threshold between hits.
+    """
+    block = _BLOCK_MIN
+    for times, srcs, dsts in stream.iter_chunks(a, b, reverse=reverse):
+        if reverse:
+            times, srcs, dsts = times[::-1], srcs[::-1], dsts[::-1]
+        pos, n = 0, len(times)
+        thresh = level()
+        while pos < n:
+            hi = min(n, pos + block)
+            mask = dsts[pos:hi] <= thresh
+            j = int(np.argmax(mask))
+            if not mask[j]:
+                pos, block = hi, min(block * 4, _BLOCK_MAX)
+                continue
+            j += pos
+            yield float(times[j]), int(srcs[j]), int(dsts[j])
+            pos, block = j + 1, _BLOCK_MIN
+            thresh = level()
 
 
 def backward_drops(stream, t: float, s_floor: float | None = None):
@@ -25,63 +55,34 @@ def backward_drops(stream, t: float, s_floor: float | None = None):
     and maps to values 2..level_cap when c_final == 1.  last_pair is the
     (src, dst) of the deepest drop processed.
     """
-    cfg = stream.config
     lo = stream.window[0] if s_floor is None else max(s_floor, stream.window[0])
-    c = cfg.level_cap
+    c = stream.config.level_cap
     knots: list[float] = []
     last_pair: tuple[int, int] | None = None
-    for times, srcs, dsts in stream.iter_chunks(lo, t, reverse=True):
-        idx = len(times)
-        while idx > 0 and c > 1:
-            start = max(0, idx - _BLOCK)
-            mask = dsts[start:idx] <= c
-            rev = mask[::-1]
-            hit = int(np.argmax(rev))
-            if not rev[hit]:
-                idx = start
-                continue
-            j = idx - 1 - hit
-            knots.append(float(times[j]))
-            last_pair = (int(srcs[j]), int(dsts[j]))
-            c -= 1
-            idx = j
-        if c <= 1:
+    for tau, src, dst in hits(stream, lo, t, lambda: c, reverse=True):
+        knots.append(tau)
+        last_pair = (src, dst)
+        c -= 1
+        if c == 1:
             break
     return knots, c, last_pair
 
 
-def track_line_forward(stream, s_from: float, t_to: float, level0: int,
-                       record_pushes: bool = False):
-    """Level path of a line from strictly after s_from up to t_to.
+def track_line_forward(stream, s_from: float, t_to: float, level0: int):
+    """Level of a line from strictly after s_from up to t_to.
 
     The line is pushed one level up at each event with dst <= level; a push
-    at level == level_cap kills it.  Returns
-    (level_or_None, exit_time_or_None, push_times, push_levels); a None
-    level means the line was killed at exit_time.
+    at level == level_cap kills it.  Returns (level, exit_time): level is
+    None when the line was killed, at exit_time; else exit_time is None.
     """
     cap = stream.config.level_cap
     y = level0
-    push_times: list[float] = []
-    push_levels: list[int] = []
-    for times, srcs, dsts in stream.iter_chunks(s_from, t_to):
-        pos = int(np.searchsorted(times, s_from, side="right")) if times[0] <= s_from else 0
-        n = len(times)
-        while pos < n:
-            hi = min(n, pos + _BLOCK)
-            mask = dsts[pos:hi] <= y
-            hit = int(np.argmax(mask))
-            if not mask[hit]:
-                pos = hi
-                continue
-            j = pos + hit
-            if y == cap:
-                return None, float(times[j]), push_times, push_levels
-            y += 1
-            if record_pushes:
-                push_times.append(float(times[j]))
-                push_levels.append(y)
-            pos = j + 1
-    return y, None, push_times, push_levels
+    for tau, _, _ in hits(stream, np.nextafter(s_from, np.inf), t_to,
+                         lambda: y):
+        if y == cap:
+            return None, tau
+        y += 1
+    return y, None
 
 
 def trace_level_backward(stream, t: float, j: int, s: float) -> int:
@@ -92,21 +93,11 @@ def trace_level_backward(stream, t: float, j: int, s: float) -> int:
     strictly after s count (the time-s individual itself is the ancestor).
     """
     x = j
-    for times, srcs, dsts in stream.iter_chunks(s, t, reverse=True):
-        stop = int(np.searchsorted(times, s, side="right"))
-        idx = len(times)
-        while idx > stop and x > 1:
-            start = max(stop, idx - _BLOCK)
-            mask = dsts[start:idx] <= x
-            rev = mask[::-1]
-            hit = int(np.argmax(rev))
-            if not rev[hit]:
-                idx = start
-                continue
-            k = idx - 1 - hit
-            d = int(dsts[k])
-            x = int(srcs[k]) if d == x else x - 1
-            idx = k
+    if x == 1:
+        return x
+    for _, src, d in hits(stream, np.nextafter(s, np.inf), t, lambda: x,
+                          reverse=True):
+        x = src if d == x else x - 1
         if x == 1:
             break
     return x
@@ -118,23 +109,17 @@ class CurvePassResult:
 
     Curves are numbered by birth order (ids index ``births``).
     ``exit_times``/``exit_birth_ids`` list completed curves in exit order.
-    Samples record the state just before each sample time's following event
-    (i.e. the cadlag state at the sample time).
     """
 
     births: list[float] = field(default_factory=list)
     exit_times: list[float] = field(default_factory=list)
     exit_birth_ids: list[int] = field(default_factory=list)
     open_ids: list[int] = field(default_factory=list)
-    sample_times: list[float] = field(default_factory=list)
-    sample_z: list[int] = field(default_factory=list)
-    sample_leader_level: list[int] = field(default_factory=list)
-    sample_leader_id: list[int] = field(default_factory=list)
     path_times: dict[int, list[float]] = field(default_factory=dict)
     path_levels: dict[int, list[int]] = field(default_factory=dict)
 
 
-def curve_pass(stream, a: float, b: float, sample_times=None,
+def curve_pass(stream, a: float, b: float,
                record_paths: bool = False) -> CurvePassResult:
     """Track every fixation curve born in [a, b] through one forward sweep.
 
@@ -148,58 +133,30 @@ def curve_pass(stream, a: float, b: float, sample_times=None,
     res = CurvePassResult()
     levels: list[int] = []   # active curve levels, strictly decreasing
     ids: list[int] = []
-    samples = np.asarray(sample_times, dtype=np.float64) if sample_times is not None \
-        else np.empty(0)
-    s_ptr = 0
-
-    def flush_samples(until: float) -> None:
-        nonlocal s_ptr
-        while s_ptr < len(samples) and samples[s_ptr] < until:
-            res.sample_times.append(float(samples[s_ptr]))
-            res.sample_z.append(len(levels))
-            res.sample_leader_level.append(levels[0] if levels else 1)
-            res.sample_leader_id.append(ids[0] if ids else -1)
-            s_ptr += 1
-
-    for times, srcs, dsts in stream.iter_chunks(a, b):
-        pos = 0
-        n = len(times)
-        while pos < n:
-            thresh = levels[0] + 1 if levels else 2
-            hi = min(n, pos + _BLOCK)
-            mask = dsts[pos:hi] <= thresh
-            hit = int(np.argmax(mask))
-            if not mask[hit]:
-                pos = hi
-                continue
-            j = pos + hit
-            tau = float(times[j])
-            d = int(dsts[j])
-            flush_samples(tau)
-            # a qualifying event always pushes the leader; crossing the cap
-            # is the exit, and that final push is not a path knot
-            will_exit = bool(levels) and levels[0] + 1 >= cap
-            m = 0
-            while m < len(levels) and levels[m] >= d - 1:
-                levels[m] += 1
-                if record_paths and not (m == 0 and will_exit):
-                    res.path_times[ids[m]].append(tau)
-                    res.path_levels[ids[m]].append(levels[m])
-                m += 1
-            if d == 2 and int(srcs[j]) == 1:
-                cid = len(res.births)
-                res.births.append(tau)
-                levels.append(2)
-                ids.append(cid)
-                if record_paths:
-                    res.path_times[cid] = [tau]
-                    res.path_levels[cid] = [2]
-            if will_exit:
-                res.exit_times.append(tau)
-                res.exit_birth_ids.append(ids[0])
-                levels.pop(0)
-                ids.pop(0)
-            pos = j + 1
-    flush_samples(math.inf)
+    for tau, src, d in hits(stream, a, b,
+                            lambda: levels[0] + 1 if levels else 2):
+        # a qualifying event always pushes the leader; crossing the cap
+        # is the exit, and that final push is not a path knot
+        will_exit = bool(levels) and levels[0] + 1 >= cap
+        m = 0
+        while m < len(levels) and levels[m] >= d - 1:
+            levels[m] += 1
+            if record_paths and not (m == 0 and will_exit):
+                res.path_times[ids[m]].append(tau)
+                res.path_levels[ids[m]].append(levels[m])
+            m += 1
+        if d == 2 and src == 1:
+            cid = len(res.births)
+            res.births.append(tau)
+            levels.append(2)
+            ids.append(cid)
+            if record_paths:
+                res.path_times[cid] = [tau]
+                res.path_levels[cid] = [2]
+        if will_exit:
+            res.exit_times.append(tau)
+            res.exit_birth_ids.append(ids[0])
+            levels.pop(0)
+            ids.pop(0)
     res.open_ids = list(ids)
     return res

@@ -88,14 +88,19 @@ def mrca_time(stream: EventStream, t: float) -> float:
     checked, not assumed.
     """
     stream.require_inside(t)
+    return _drop_to_one_block(stream, t)[-1]
+
+
+def _drop_to_one_block(stream: EventStream, t: float) -> list[float]:
+    """Backward drop knots from t down to one block (descending times);
+    the last one, A_t, must sit on a (1, 2) event."""
     knots_desc, c_final, last_pair = _scan.backward_drops(stream, t)
     if c_final > 1:
         raise InsufficientWindowError(
             f"window exhausted at {c_final} blocks; extend burn_in")
     if last_pair != (1, 2):
-        raise LookdownError(
-            f"MRCA drop happened at pair {last_pair}, not (1, 2)")
-    return knots_desc[-1]
+        raise LookdownError(f"MRCA drop at pair {last_pair}, not (1, 2)")
+    return knots_desc
 
 
 def backward_level(stream: EventStream, t: float, j: int, s: float) -> int:
@@ -185,13 +190,6 @@ class MrcaPointProcess:
         return a, b, e
 
 
-def _sweep(stream: EventStream, upto: float, sample_times=None,
-           record_paths: bool = False) -> _scan.CurvePassResult:
-    lo = stream.window[0]
-    return _scan.curve_pass(stream, lo, upto, sample_times=sample_times,
-                            record_paths=record_paths)
-
-
 def extract_fixation_curves(stream: EventStream,
                             window: tuple[float, float] | None = None,
                             record_paths: bool = True) -> list[FixationCurve]:
@@ -204,7 +202,8 @@ def extract_fixation_curves(stream: EventStream,
     cfg = stream.config
     qa, qb = (cfg.t_start, cfg.t_end) if window is None else window
     stream.require_inside(qa, qb)
-    res = _sweep(stream, qb, record_paths=record_paths)
+    res = _scan.curve_pass(stream, stream.window[0], qb,
+                           record_paths=record_paths)
     exit_of = {cid: e for e, cid in zip(res.exit_times, res.exit_birth_ids)}
     out = []
     for cid, b in enumerate(res.births):
@@ -236,7 +235,7 @@ def mrca_point_process(stream: EventStream,
         warnings.warn("window starts inside the warm-up of the curve sweep; "
                       "point-process statistics may be biased",
                       StationarityWarning, stacklevel=2)
-    res = _sweep(stream, qb)
+    res = _scan.curve_pass(stream, stream.window[0], qb)
     e = np.asarray(res.exit_times, dtype=np.float64)
     b = np.asarray([res.births[c] for c in res.exit_birth_ids], dtype=np.float64)
     keep = (e >= qa) & (e <= qb)
@@ -277,12 +276,7 @@ def observables_at(stream: EventStream, t: float) -> MrcaObservables:
         warnings.warn(f"query at {t} has less than {_MIN_WARMUP} time units "
                       "of history; stationarity is not guaranteed",
                       StationarityWarning, stacklevel=2)
-    knots_desc, c_final, last_pair = _scan.backward_drops(stream, t)
-    if c_final > 1:
-        raise InsufficientWindowError(
-            f"window exhausted at {c_final} blocks; extend burn_in")
-    if last_pair != (1, 2):
-        raise LookdownError(f"MRCA drop at pair {last_pair}, not (1, 2)")
+    knots_desc = _drop_to_one_block(stream, t)
     a_t = knots_desc[-1]
     knots_asc = np.asarray(knots_desc[::-1], dtype=np.float64)
 
@@ -294,7 +288,7 @@ def observables_at(stream: EventStream, t: float) -> MrcaObservables:
     b_t = float(births[0])
     # the fixation curve born at B_t tracks the line sitting at level 3
     # just after the (1,2) event at B_t; L_t is its level at t minus one
-    y, exit_time, _, _ = _scan.track_line_forward(stream, b_t, t, 3)
+    y, exit_time = _scan.track_line_forward(stream, b_t, t, 3)
     if y is None:
         raise LookdownError(
             f"fixation curve born at {b_t} exited at {exit_time} <= {t}; "

@@ -20,7 +20,6 @@ import numpy as np
 
 from .engine import MrcaPointProcess
 from .errors import ConfigurationError, SampleSizeError, ValidationError
-from .laws import sample_L, sample_S_batch
 from .stats import count_dispersion
 
 
@@ -81,17 +80,6 @@ def substitution_mass_rate(events: Sequence[SubstitutionEvent],
     span = float(b[-1] - b[0])
     total = float(sum(ev.count for ev in events))
     return total / span, math.sqrt(max(total, 1.0)) / span
-
-
-def sample_Tc(rng: np.random.Generator) -> float:
-    """Pairwise coalescence time of a 2-sample drawn at an MRCA change:
-    l with weight 2/((l+1)(l+2)), then S_{l+1}^inf."""
-    return float(sample_Tc_many(1, rng)[0])
-
-
-def sample_Tc_many(n: int, rng: np.random.Generator) -> np.ndarray:
-    ls = sample_L(rng, n)
-    return sample_S_batch(ls + 1, rng)
 
 
 def dispersion_of_substitution_times(events: Sequence[SubstitutionEvent] | np.ndarray,

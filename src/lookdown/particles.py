@@ -69,8 +69,7 @@ class TransitionEvent:
     kind "push": particles 1..k moved up one level.
     kind "arrival": new particle entered at level 2, everyone pushed.
     kind "exit": leader crossed the cap; jump-back already applied.
-    In ``step`` the time field holds the sampled holding time; ``simulate``
-    rebases it to absolute model time.
+    ``time`` is the absolute model time of the transition.
     """
 
     time: float
@@ -98,26 +97,6 @@ class ParticleSimConfig:
             raise ConfigurationError("initial leader already beyond the cap")
 
 
-def transition_rates(levels: Sequence[int]) -> list[tuple[str, int | None, int]]:
-    """Exact integer branch rates out of a configuration.
-
-    push of particles 1..k at C(l_k+1,2) - C(l_{k+1}+1,2) (with l_{Z+1} = 1),
-    arrival at rate 1; they telescope to a total of C(l_1+1, 2).
-    """
-    seq = tuple(levels)
-    out: list[tuple[str, int | None, int]] = []
-    z = len(seq)
-    for k in range(1, z + 1):
-        nxt = seq[k] if k < z else 1
-        out.append(("push", k, comb2(seq[k - 1] + 1) - comb2(nxt + 1)))
-    out.append(("arrival", None, 1))
-    total = sum(r for _, _, r in out)
-    expected = comb2(seq[0] + 1) if seq else 1
-    if total != expected:
-        raise AssertionError(f"rate bookkeeping broken: {total} != {expected}")
-    return out
-
-
 def _apply(levels: list[int], kind: str, k: int | None) -> None:
     if kind == "push":
         for m in range(k):
@@ -128,24 +107,6 @@ def _apply(levels: list[int], kind: str, k: int | None) -> None:
         levels.append(2)
     else:
         raise AssertionError(f"unknown kind {kind}")
-
-
-def step(state: ParticleConfig,
-         rng: np.random.Generator) -> tuple[ParticleConfig, TransitionEvent]:
-    """Sample one transition; the event's time field is the holding time."""
-    rates = transition_rates(state.levels)
-    total = sum(r for _, _, r in rates)
-    dt = float(rng.exponential(1.0 / total))
-    u = rng.random() * total
-    acc = 0.0
-    for kind, k, r in rates:
-        acc += r
-        if u < acc:
-            break
-    levels = list(state.levels)
-    _apply(levels, kind, k)
-    new_state = ParticleConfig(tuple(levels))
-    return new_state, TransitionEvent(dt, kind, k, new_state.levels)
 
 
 @dataclass
@@ -167,14 +128,6 @@ class ParticleRunResult:
     final_levels: tuple[int, ...]
     n_transitions: int
     exit_time_bias: float
-
-    def metadata(self) -> dict:
-        return {"particle_cap": self.config.particle_cap,
-                "horizon": self.config.horizon, "seed": self.config.seed,
-                "burn_in": self.config.burn_in,
-                "n_exits": int(self.exits.size),
-                "n_transitions": self.n_transitions,
-                "exit_time_bias": self.exit_time_bias}
 
 
 def _check_sorted(levels: list[int]) -> None:

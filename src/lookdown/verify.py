@@ -393,7 +393,7 @@ def check_structural_equalities(p: dict, seed: int) -> CheckResult:
 
 def check_tc_and_k_chain(p: dict, seed: int) -> CheckResult:
     rng = rng_from(seed, "c10")
-    draws = mutations.sample_Tc_many(p["c10_draws"], rng)
+    draws = laws.sample_Tc_batch(p["c10_draws"], rng)
     target = laws.expected_Tc()
     se = float(draws.std(ddof=1)) / math.sqrt(draws.size)
     z = abs(float(draws.mean()) - target) / se

@@ -5,8 +5,3 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "acceptance: acceptance criteria at full stated sizes")

@@ -1,12 +1,63 @@
-"""Naive graphical-construction replayer, used as an independent oracle.
+"""Naive reference implementations, used as independent oracles.
 
-Builds the finite-level look-down graph forward in time as explicit line
-objects (occupants per level, parent links, level paths), then answers
-ancestry queries by walking lines and parent hops.  Deliberately slow and
-direct; shares no code with the engine's backward scans.
+``GraphOracle`` builds the finite-level look-down graph forward in time as
+explicit line objects (occupants per level, parent links, level paths), then
+answers ancestry queries by walking lines and parent hops.  Deliberately
+slow and direct; shares no code with the engine's backward scans.
+
+``transition_rates`` and ``step`` move the fixation-curve particle system
+one transition at a time, the event-by-event law that ``particles.simulate``
+resolves in climb segments.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from lookdown.laws import comb2
+from lookdown.particles import ParticleConfig, TransitionEvent
+
+
+def transition_rates(levels: Sequence[int]) -> list[tuple[str, int | None, int]]:
+    """Exact integer branch rates out of a configuration.
+
+    push of particles 1..k at C(l_k+1,2) - C(l_{k+1}+1,2) (with l_{Z+1} = 1),
+    arrival at rate 1; they telescope to a total of C(l_1+1, 2).
+    """
+    seq = tuple(levels)
+    out: list[tuple[str, int | None, int]] = []
+    z = len(seq)
+    for k in range(1, z + 1):
+        nxt = seq[k] if k < z else 1
+        out.append(("push", k, comb2(seq[k - 1] + 1) - comb2(nxt + 1)))
+    out.append(("arrival", None, 1))
+    total = sum(r for _, _, r in out)
+    expected = comb2(seq[0] + 1) if seq else 1
+    if total != expected:
+        raise AssertionError(f"rate bookkeeping broken: {total} != {expected}")
+    return out
+
+
+def step(state: ParticleConfig,
+         rng: np.random.Generator) -> tuple[ParticleConfig, TransitionEvent]:
+    """Sample one transition; the event's time field is the holding time."""
+    rates = transition_rates(state.levels)
+    total = sum(r for _, _, r in rates)
+    dt = float(rng.exponential(1.0 / total))
+    u = rng.random() * total
+    acc = 0.0
+    for kind, k, r in rates:
+        acc += r
+        if u < acc:
+            break
+    if kind == "push":
+        levels = [l + 1 for l in state.levels[:k]] + list(state.levels[k:])
+    else:
+        levels = [l + 1 for l in state.levels] + [2]
+    new_state = ParticleConfig(tuple(levels))
+    return new_state, TransitionEvent(dt, kind, k, new_state.levels)
 
 
 class GraphOracle:

@@ -30,6 +30,9 @@ class TestBackwardLevelAgainstOracle:
         st = engine.EventStream.from_events(cfg, [(5.0, 1, 2)])
         assert engine.backward_level(st, 8.0, 2, 2.0) == 1
         assert engine.backward_level(st, 8.0, 2, 6.0) == 2
+        # an event exactly at s is not strictly after s: no hop through it
+        assert engine.backward_level(st, 8.0, 2, 5.0) == 2
+        assert GraphOracle(3, 0.0, [(5.0, 1, 2)]).backward_level(8.0, 2, 5.0) == 2
         # level 3 individual was pushed from 2 at the event
         assert engine.backward_level(st, 8.0, 3, 2.0) == 2
 
@@ -286,6 +289,22 @@ class TestObservables:
         for q in np.linspace(5.0, 55.0, 25):
             obs = engine.observables_at(st, float(q))
             assert (obs.curve_count == 0) == (obs.fixation_level == 1)
+
+    def test_hand_worked_stream(self):
+        # backward from t=9 at cap 6 the drops fall at 8.5, 7, 6, 4 and 1,
+        # the last on (1, 2): A = 1, and 3 blocks remain at B = 4.  Births
+        # after A are at 4 and 8.5, so Z = 2.  The line at level 3 just
+        # after the birth at 4 is pushed at 6 and 8.5, so L = 5 - 1 = 4;
+        # counting the birth event itself would push it to the cap first.
+        cfg = engine.EngineConfig(level_cap=6, t_start=0.0, t_end=10.0,
+                                  burn_in=0.0, seed=0)
+        st = engine.EventStream.from_events(cfg, [
+            (1.0, 1, 2), (2.0, 2, 3), (4.0, 1, 2), (5.0, 3, 4),
+            (6.0, 2, 3), (7.0, 1, 5), (8.0, 4, 6), (8.5, 1, 2)])
+        with pytest.warns(StationarityWarning):
+            obs = engine.observables_at(st, 9.0)
+        assert (obs.mrca_time, obs.fixation_level, obs.coalescent_level,
+                obs.curve_count) == (1.0, 4, 3, 2)
 
     def test_stationarity_warning_in_burn_in(self):
         st = _stream(20, 30.0, burn_in=10.0, seed=23)

@@ -69,18 +69,18 @@ class TestSimulateSubstitutions:
 
 class TestSampleTc:
     def test_positive(self, rng):
-        draws = mutations.sample_Tc_many(1000, rng)
+        draws = laws.sample_Tc_batch(1000, rng)
         assert np.all(draws > 0)
 
     def test_mean(self, rng):
-        draws = mutations.sample_Tc_many(100_000, rng)
+        draws = laws.sample_Tc_batch(100_000, rng)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - laws.expected_Tc()) < 3 * se
 
     def test_reduction_vs_equilibrium(self, rng):
         # expected segregating sites of a 2-sample at an MRCA change is
         # theta * E[Tc]: about 42% below the equilibrium theta * 1
-        draws = mutations.sample_Tc_many(50_000, rng)
+        draws = laws.sample_Tc_batch(50_000, rng)
         assert 0.5 < draws.mean() < 0.66
 
 
