@@ -7,7 +7,8 @@ One binary, four subcommands:
   tables              exact law tables (L, LI, K, Z, pi, Tc)
   verify              the acceptance suite (quick or full profile)
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error,
+4 internal error (an engine invariant failed: a fault in the package).
 Every run writes a manifest.json echoing the full configuration, the seed,
 versions, wall clock and output paths; re-running the recorded argv
 reproduces the output files byte for byte.
@@ -28,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__, engine, laws, mutations, particles, verify, zlaw
-from .errors import LookdownError
+from .errors import InternalError, LookdownError, StationarityWarning
 from .seeding import rng_from
 
 ENV_OUT = "LOOKDOWN_OUT"
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _resolve_seed(args) -> int:
@@ -54,7 +56,8 @@ def _out_dir(args) -> Path:
 
 
 def _write_manifest(out: Path, command: str, args: argparse.Namespace,
-                    config: dict, outputs: list[Path], started: float) -> Path:
+                    config: dict, outputs: list[Path], started: float,
+                    **extra) -> Path:
     manifest = {
         "command": command,
         "argv": sys.argv[1:],
@@ -69,12 +72,25 @@ def _write_manifest(out: Path, command: str, args: argparse.Namespace,
         "wall_clock_seconds": round(time.time() - started, 3),
         "outputs": [str(p) for p in outputs],
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        **extra,
     }
     path = out / "manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return path
+
+
+def _warning_summary(caught) -> dict:
+    """Count and first message per warning category; StationarityWarning
+    is always listed."""
+    out = {StationarityWarning.__name__: {"count": 0, "first": None}}
+    for w in caught:
+        entry = out.setdefault(w.category.__name__, {"count": 0, "first": None})
+        entry["count"] += 1
+        if entry["first"] is None:
+            entry["first"] = str(w.message)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -90,23 +106,21 @@ def cmd_simulate_lookdown(args) -> int:
     stream = engine.generate_event_stream(cfg)
     outputs: list[Path] = []
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         points = engine.mrca_point_process(stream)
+        # descending: the slices the forward sweep cached last are read
+        # first, and each backward scan can end on the one before it
+        sample_times = np.arange(cfg.t_start, cfg.t_end, args.sample_spacing)
+        obs = [engine.observables_at(stream, float(t))
+               for t in sample_times[::-1]][::-1]
     points_path = out / "mrca_points.csv"
     engine.export_points_csv(points, points_path)
     outputs.append(points_path)
 
-    sample_times = np.arange(cfg.t_start, cfg.t_end, args.sample_spacing)
-    obs_rows = []
-    for t in sample_times:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            o = engine.observables_at(stream, float(t))
-        obs_rows.append({"t": o.time, "A": o.mrca_time, "L": o.fixation_level,
-                         "I": ("inf" if o.curve_count == 0
-                               else int(o.coalescent_level)),
-                         "Z": o.curve_count})
+    obs_rows = [{"t": o.time, "A": o.mrca_time, "L": o.fixation_level,
+                 "I": "inf" if o.curve_count == 0 else int(o.coalescent_level),
+                 "Z": o.curve_count} for o in obs]
     if args.format == "jsonl":
         obs_path = out / "observables.jsonl"
         with open(obs_path, "w") as fh:
@@ -131,7 +145,8 @@ def cmd_simulate_lookdown(args) -> int:
         "level_cap": cfg.level_cap, "t_start": cfg.t_start,
         "t_end": cfg.t_end, "burn_in": cfg.burn_in,
         "sample_spacing": args.sample_spacing, "format": args.format,
-    }, outputs, started))
+    }, outputs, started, metrics=stream.counters(),
+        warnings=_warning_summary(caught)))
     depth = [row["t"] - row["A"] for row in obs_rows]
     print(f"simulate-lookdown: levels={cfg.level_cap} window="
           f"[{cfg.t_start}, {cfg.t_end}] seed={args.seed}")
@@ -350,6 +365,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except LookdownError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import (InsufficientWindowError, LookdownError,
+from ..errors import (InsufficientWindowError, InternalError, LookdownError,
                       StationarityWarning, WindowRangeError)
 from ..tables import INF, _InfiniteLevel
 from . import _scan
@@ -72,10 +72,10 @@ def coalescent_curve(stream: EventStream, t: float,
     stream.require_inside(t)
     if s_min is not None and not s_min < t:
         raise WindowRangeError("s_min must lie strictly below t")
-    knots_desc, c_final, _ = _scan.backward_drops(stream, t, s_floor=s_min)
+    knots_desc, _, _, c_final = _scan.backward_drops(stream, t, s_floor=s_min)
     return CoalescentCurve(
         reference_time=t,
-        knot_times=np.asarray(knots_desc[::-1], dtype=np.float64),
+        knot_times=knots_desc[::-1],
         lowest_value=c_final,
         level_cap=stream.config.level_cap,
         truncated=c_final > 1)
@@ -88,18 +88,27 @@ def mrca_time(stream: EventStream, t: float) -> float:
     checked, not assumed.
     """
     stream.require_inside(t)
-    return _drop_to_one_block(stream, t)[-1]
+    return float(_drop_to_one_block(stream, t)[-1])
 
 
-def _drop_to_one_block(stream: EventStream, t: float) -> list[float]:
+def _drop_to_one_block(stream: EventStream, t: float) -> np.ndarray:
     """Backward drop knots from t down to one block (descending times);
-    the last one, A_t, must sit on a (1, 2) event."""
-    knots_desc, c_final, last_pair = _scan.backward_drops(stream, t)
+    the last one, A_t, must sit on a (1, 2) event.
+
+    The scan ends early where it meets the stream's last completed one
+    (``EventStream._last_drop``), which it then replaces.
+    """
+    drops = _scan.backward_drops(stream, t, prior=stream._last_drop)
+    knots_desc, srcs, dsts, c_final = drops
     if c_final > 1:
         raise InsufficientWindowError(
             f"window exhausted at {c_final} blocks; extend burn_in")
+    last_pair = (int(srcs[-1]), int(dsts[-1]))
     if last_pair != (1, 2):
-        raise LookdownError(f"MRCA drop at pair {last_pair}, not (1, 2)")
+        raise InternalError(f"MRCA drop at pair {last_pair}, not (1, 2)")
+    for x in drops[:3]:
+        x.flags.writeable = False
+    stream._last_drop = drops[:3]
     return knots_desc
 
 
@@ -263,9 +272,9 @@ class MrcaObservables:
 
     def __post_init__(self):
         if not self.mrca_time < self.time:
-            raise LookdownError("A_t must precede t")
+            raise InternalError("A_t must precede t")
         if (self.curve_count == 0) != (self.fixation_level == 1):
-            raise LookdownError("Z = 0 must coincide with L = 1")
+            raise InternalError("Z = 0 must coincide with L = 1")
 
 
 def observables_at(stream: EventStream, t: float) -> MrcaObservables:
@@ -277,8 +286,8 @@ def observables_at(stream: EventStream, t: float) -> MrcaObservables:
                       "of history; stationarity is not guaranteed",
                       StationarityWarning, stacklevel=2)
     knots_desc = _drop_to_one_block(stream, t)
-    a_t = knots_desc[-1]
-    knots_asc = np.asarray(knots_desc[::-1], dtype=np.float64)
+    a_t = float(knots_desc[-1])
+    knots_asc = knots_desc[::-1]
 
     births = stream.p12_between(a_t, t)
     births = births[births > a_t]
@@ -290,7 +299,7 @@ def observables_at(stream: EventStream, t: float) -> MrcaObservables:
     # just after the (1,2) event at B_t; L_t is its level at t minus one
     y, exit_time = _scan.track_line_forward(stream, b_t, t, 3)
     if y is None:
-        raise LookdownError(
+        raise InternalError(
             f"fixation curve born at {b_t} exited at {exit_time} <= {t}; "
             "establishment order violated")
     i_t = 1 + int(np.searchsorted(knots_asc, b_t, side="right"))

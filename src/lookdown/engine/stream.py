@@ -101,9 +101,14 @@ class EventStream:
     """Realized look-down events on a window; the randomness source for all
     genealogical observables.
 
-    Immutable after construction and safe to share read-only across
-    threads that consume disjoint, already-generated ranges; generation
-    itself mutates only the internal slice cache.
+    The events are fixed at construction.  Queries mutate three things:
+    the slice cache, plain counters of its traffic (``counters()``), and
+    ``_last_drop``, the last completed backward drop to one block, which
+    the next one may end on (see ``_scan.backward_drops``).  The memo is
+    one attribute holding an immutable tuple and every prior is valid for
+    every query, so threads that share a stream and consume disjoint,
+    already-generated ranges need no lock; the counters may then miss
+    updates.
     """
 
     def __init__(self, config: EngineConfig, *,
@@ -112,6 +117,10 @@ class EventStream:
         self._fixed = _fixed
         self._cache: OrderedDict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
         self._cached_events = 0
+        self._last_drop: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.slices_generated = 0
+        self.cache_hits = 0
+        self.cache_evictions = 0
 
     # -- construction -------------------------------------------------------
 
@@ -134,6 +143,12 @@ class EventStream:
         srcs = np.asarray([r[1] for r in recs], dtype=np.int32)
         dsts = np.asarray([r[2] for r in recs], dtype=np.int32)
         return cls(config, _fixed=(times, srcs, dsts))
+
+    def counters(self) -> dict[str, int]:
+        """Slice-cache traffic so far: slices generated, hits, evictions."""
+        return {"slices_generated": self.slices_generated,
+                "cache_hits": self.cache_hits,
+                "cache_evictions": self.cache_evictions}
 
     # -- windows ------------------------------------------------------------
 
@@ -182,13 +197,16 @@ class EventStream:
         entry = self._cache.get(k)
         if entry is not None:
             self._cache.move_to_end(k)
+            self.cache_hits += 1
             return entry
         entry = self._generate_slice(k)
+        self.slices_generated += 1
         self._cache[k] = entry
         self._cached_events += len(entry[0])
         while self._cached_events > CACHE_EVENT_BUDGET and len(self._cache) > 1:
             _, old = self._cache.popitem(last=False)
             self._cached_events -= len(old[0])
+            self.cache_evictions += 1
         return entry
 
     def _slice_indices(self, a: float, b: float) -> range:

@@ -33,5 +33,9 @@ class DegenerateBinningError(LookdownError, ValueError):
     """All probability mass pooled away; no cells left to test."""
 
 
+class InternalError(LookdownError):
+    """An engine invariant failed: a fault in the package, not in its input."""
+
+
 class StationarityWarning(UserWarning):
     """Query made with less history than the configured burn-in."""

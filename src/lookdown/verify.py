@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import traceback
 import warnings
 from dataclasses import dataclass, field
 
@@ -460,7 +461,14 @@ def run_suite(profile: str = "full", seed: int = DEFAULT_SEED,
         if only and idx not in only:
             continue
         t0 = time.time()
-        res = fn(params, seed)
+        try:
+            res = fn(params, seed)
+        except Exception as exc:  # one broken check must not hide the rest
+            res = CheckResult(
+                name=fn.__name__.removeprefix("check_").replace("_", "-"),
+                criterion=idx, passed=False,
+                detail=f"raised {type(exc).__name__}: {exc}",
+                reports=[{"traceback": traceback.format_exc()}])
         res.seconds = time.time() - t0
         results.append(res)
         if echo is not None:

@@ -5,6 +5,10 @@ explicit line objects (occupants per level, parent links, level paths), then
 answers ancestry queries by walking lines and parent hops.  Deliberately
 slow and direct; shares no code with the engine's backward scans.
 
+``unit_step_scan`` walks a scan whose threshold moves by one per hit one
+event at a time, the reference for ``_scan.unit_step_block`` and
+``_scan.unit_step_hits``.
+
 ``transition_rates`` and ``step`` move the fixation-curve particle system
 one transition at a time, the event-by-event law that ``particles.simulate``
 resolves in climb segments.
@@ -18,6 +22,20 @@ import numpy as np
 
 from lookdown.laws import comb2
 from lookdown.particles import ParticleConfig, TransitionEvent
+
+
+def unit_step_scan(dsts, level: int, step: int,
+                   limit: int | None = None) -> list[int]:
+    """Indices of the hits, in order: event k hits iff dsts[k] <= level,
+    and each hit moves level by step; stops after limit hits."""
+    out: list[int] = []
+    for k, d in enumerate(dsts):
+        if limit is not None and len(out) == limit:
+            break
+        if d <= level:
+            out.append(k)
+            level += step
+    return out
 
 
 def transition_rates(levels: Sequence[int]) -> list[tuple[str, int | None, int]]:

@@ -114,6 +114,40 @@ class TestSimulateLookdown:
         assert (a / "observables.csv").read_bytes() \
             == (b / "observables.csv").read_bytes()
 
+    def test_manifest_counts_warnings_and_cache_traffic(self, tmp_path):
+        base = ["simulate-lookdown", "--levels", "30", "--t-start", "0",
+                "--t-end", "8", "--seed", "3", "--no-events"]
+        counts = {}
+        for burn_in in ("20", "5"):
+            out = tmp_path / burn_in
+            assert run_cli(base + ["--burn-in", burn_in,
+                                   "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            entry = manifest["warnings"]["StationarityWarning"]
+            counts[burn_in] = entry["count"]
+            assert (entry["first"] is None) == (entry["count"] == 0)
+            metrics = manifest["metrics"]
+            assert metrics.keys() == {"slices_generated", "cache_hits",
+                                      "cache_evictions"}
+            assert metrics["slices_generated"] > 0
+        assert counts["20"] == 0 and counts["5"] > 0
+
+    def test_internal_fault_has_its_own_exit_code(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from lookdown.engine import genealogy
+        real = genealogy._scan.backward_drops
+
+        def misplaced_mrca(*args, **kwargs):
+            times, srcs, dsts, c_final = real(*args, **kwargs)
+            return times, srcs, dsts + 1, c_final
+
+        monkeypatch.setattr(genealogy._scan, "backward_drops", misplaced_mrca)
+        code = run_cli(["simulate-lookdown", "--levels", "30",
+                        "--t-start", "0", "--t-end", "5", "--no-events",
+                        "--seed", "1", "--out", str(tmp_path)])
+        assert code == cli.EXIT_INTERNAL == 4
+        assert "internal error" in capsys.readouterr().err
+
     def test_missing_required_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(["simulate-lookdown"])

@@ -1,0 +1,230 @@
+"""The unit-step block kernel against a per-event loop, and backward
+queries that end on the stream's previous drop against fresh streams."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from lookdown import engine
+from lookdown.engine import _scan, genealogy
+from lookdown.errors import LookdownError
+
+from oracle import unit_step_scan
+
+CAP = 12
+
+dst_arrays = st.lists(st.integers(2, CAP), max_size=200).map(
+    lambda xs: np.asarray(xs, dtype=np.int32))
+
+
+def _fixed_stream(dsts, level_cap=CAP, seed=0):
+    """Stream with one event per dst at distinct times 0.01, 0.02, ...,
+    each with a random src below its dst."""
+    rng = np.random.default_rng(seed)
+    cfg = engine.EngineConfig(level_cap=level_cap, t_start=0.0,
+                              t_end=0.01 * (len(dsts) + 1), burn_in=0.0)
+    return engine.EventStream.from_events(cfg, [
+        (0.01 * (k + 1), int(rng.integers(1, d)), int(d))
+        for k, d in enumerate(dsts)])
+
+
+# the fixture sets the same constants for every example
+fixture_ok = [HealthCheck.function_scoped_fixture]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # blocks of 2 to 16 events, so short arrays cross many block edges
+    monkeypatch.setattr(_scan, "_UNIT_BLOCK_MIN", 2)
+    monkeypatch.setattr(_scan, "_UNIT_BLOCK_MAX", 16)
+
+
+class TestUnitStepBlock:
+    @settings(max_examples=300, deadline=None)
+    @given(dst_arrays, st.integers(1, CAP), st.sampled_from([-1, 1]))
+    def test_matches_per_event_loop(self, dsts, level, step):
+        hit, rounds = _scan.unit_step_block(dsts, level, step)
+        assert np.flatnonzero(hit).tolist() == unit_step_scan(dsts, level,
+                                                              step)
+        assert rounds <= max(len(dsts), 1)
+
+    @pytest.mark.parametrize("step", [-1, 1])
+    def test_all_hit_and_empty_blocks(self, step):
+        twos = np.full(50, 2, dtype=np.int32)
+        hit, _ = _scan.unit_step_block(twos, 51, step)
+        assert hit.all()
+        hit, rounds = _scan.unit_step_block(twos, 1, step)
+        assert not hit.any() and rounds == 1
+        hit, rounds = _scan.unit_step_block(twos[:0], CAP, step)
+        assert hit.size == 0 and rounds == 1
+
+    def test_slow_case_stays_within_block_length(self):
+        # dst c, c, c-1, c-1, ...: the true hits alternate, and every round
+        # from H = 0 settles only a few more of them
+        c = 400
+        dsts = np.repeat(np.arange(c, c - 200, -1), 2).astype(np.int32)
+        hit, rounds = _scan.unit_step_block(dsts, c, -1)
+        assert np.flatnonzero(hit).tolist() == unit_step_scan(dsts, c, -1)
+        assert len(dsts) // 4 < rounds <= len(dsts)
+
+
+class TestUnitStepHits:
+    @settings(max_examples=200, deadline=None, suppress_health_check=fixture_ok)
+    @given(dst_arrays)
+    def test_backward_truncates_at_one_block(self, small_blocks, dsts):
+        stream = _fixed_stream(dsts)
+        times = stream.events()[0][::-1]
+        want = unit_step_scan(dsts[::-1], CAP, -1, CAP - 1)
+        hits = list(_scan.unit_step_hits(stream, 0.0, stream.window[1], CAP,
+                                         -1, CAP - 1, reverse=True))
+        got = np.concatenate([h[0] for h in hits]) if hits else []
+        assert list(got) == list(times[want])
+        drops = _scan.backward_drops(stream, stream.window[1])
+        assert list(drops[0]) == list(times[want])
+        assert drops[3] == CAP - len(want)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=fixture_ok)
+    @given(dst_arrays, st.integers(2, CAP))
+    # level 5 narrows to dst <= 10 and makes its sixth hit inside the
+    # block, after which dst 11 hits too
+    @example(np.asarray([6, 6, 2, 2, 2, 2, 2, 2, 11], dtype=np.int32), 5)
+    def test_forward_stops_at_the_kill(self, small_blocks, dsts, level0):
+        stream = _fixed_stream(dsts)
+        times = stream.events()[0]
+        limit = CAP - level0 + 1
+        want = unit_step_scan(dsts, level0, 1, limit)
+        end = stream.window[1]
+        hits = list(_scan.unit_step_hits(stream, 0.0, end, level0, 1, limit))
+        got = np.concatenate([h[0] for h in hits]) if hits else []
+        assert list(got) == list(times[want])
+        y, exit_time = _scan.track_line_forward(stream, 0.0, end, level0)
+        if len(want) == limit:
+            assert (y, exit_time) == (None, times[want[-1]])
+        else:
+            assert (y, exit_time) == (level0 + len(want), None)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_generated_stream_matches_loop(self, seed):
+        cfg = engine.EngineConfig(level_cap=60, t_start=0.0, t_end=3.0,
+                                  burn_in=5.0, seed=seed)
+        stream = engine.generate_event_stream(cfg)
+        times, _, dsts = stream.events()
+        want = unit_step_scan(dsts[::-1], 60, -1, 59)
+        drops = _scan.backward_drops(stream, 3.0)
+        assert np.array_equal(drops[0], times[::-1][want])
+        want = unit_step_scan(dsts, 3, 1, 58)
+        y, exit_time = _scan.track_line_forward(stream, -5.0, 3.0, 3)
+        assert exit_time == (times[want[-1]] if len(want) == 58 else None)
+
+
+def _outcome(stream, t):
+    """observables_at as a comparable tuple, or the error it raised."""
+    try:
+        o = engine.observables_at(stream, t)
+    except LookdownError as exc:
+        return type(exc).__name__
+    return (o.mrca_time, o.fixation_level, str(o.coalescent_level),
+            o.curve_count)
+
+
+def _drops(stream, t):
+    """The drop times of a scan to one block, or the error it raised."""
+    try:
+        return tuple(genealogy._drop_to_one_block(stream, t))
+    except LookdownError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.filterwarnings("ignore::lookdown.errors.StationarityWarning")
+class TestQueriesEndOnTheLastDrop:
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_any_query_order_matches_fresh_streams(self, seed):
+        cfg = engine.EngineConfig(level_cap=40, t_start=0.0, t_end=12.0,
+                                  burn_in=15.0, seed=seed)
+        grid = [float(t) for t in np.linspace(0.0, 12.0, 31)]
+        fresh = {t: _outcome(engine.generate_event_stream(cfg), t)
+                 for t in grid}
+        shuffled = list(np.random.default_rng(seed).permutation(grid))
+        for order in (grid, grid[::-1], shuffled):
+            stream = engine.generate_event_stream(cfg)
+            assert {t: _outcome(stream, t) for t in order} == fresh
+
+    def test_hand_worked_stream(self):
+        cfg = engine.EngineConfig(level_cap=6, t_start=0.0, t_end=10.0,
+                                  burn_in=0.0, seed=0)
+        events = [(1.0, 1, 2), (2.0, 2, 3), (4.0, 1, 2), (5.0, 3, 4),
+                  (6.0, 2, 3), (7.0, 1, 5), (8.0, 4, 6), (8.5, 1, 2)]
+        grid = [5.0, 7.5, 8.0, 8.25, 9.0, 9.5, 10.0]
+        fresh = {t: _outcome(engine.EventStream.from_events(cfg, events), t)
+                 for t in grid}
+        assert fresh[9.0] == (1.0, 4, "3", 2)
+        for order in (grid, grid[::-1], [9.0, 5.0, 10.0, 8.0, 7.5, 9.5, 8.25]):
+            stream = engine.EventStream.from_events(cfg, events)
+            assert {t: _outcome(stream, t) for t in order} == fresh
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 4),
+                              st.integers(1, 4)), max_size=80),
+           st.lists(st.integers(1, 12), min_size=2, max_size=6))
+    def test_tied_event_times(self, raw, ticks):
+        # events on a half-unit grid share times, where matching a drop by
+        # its time alone, or by the count of prior drops above it, would
+        # join two scans that differ
+        cfg = engine.EngineConfig(level_cap=5, t_start=0.0, t_end=6.0,
+                                  burn_in=0.0, seed=0)
+        events = [(0.5 * k, a, a + b) for k, a, b in raw if a + b <= 5]
+        stream = engine.EventStream.from_events(cfg, events)
+        for k in ticks:
+            fresh = engine.EventStream.from_events(cfg, events)
+            assert _drops(stream, 0.5 * k) == _drops(fresh, 0.5 * k)
+
+    def test_tie_where_the_scans_meet(self):
+        # backward from 10 the drops fall at 7 and twice at 3: on (2, 3),
+        # then (1, 2).  From 5, the scan drops at (3, 2, 3) with one drop
+        # before (3, 1, 2), as many as the old scan made above time 3, but
+        # the old scan made its second drop at (3, 2, 3) too, so the two
+        # differ there: the new one goes on to the drop at 1
+        cfg = engine.EngineConfig(level_cap=4, t_start=0.0, t_end=10.0,
+                                  burn_in=0.0, seed=0)
+        events = [(1.0, 1, 2), (3.0, 1, 2), (3.0, 2, 3), (7.0, 1, 2)]
+        stream = engine.EventStream.from_events(cfg, events)
+        assert _drops(stream, 10.0) == (7.0, 3.0, 3.0)
+        assert _drops(stream, 5.0) == (3.0, 3.0, 1.0)
+
+    def test_second_query_reads_fewer_events(self, monkeypatch):
+        cfg = engine.EngineConfig(level_cap=200, t_start=0.0, t_end=5.0,
+                                  burn_in=15.0, seed=6)
+        read = []
+
+        def counting(stream):
+            real = stream.iter_chunks
+
+            def chunks(*args, **kwargs):
+                for c in real(*args, **kwargs):
+                    read.append(len(c[0]))
+                    yield c
+            monkeypatch.setattr(stream, "iter_chunks", chunks)
+            return stream
+
+        a_fresh = engine.mrca_time(counting(engine.generate_event_stream(cfg)),
+                                   4.9)
+        n_fresh = sum(read)
+        stream = counting(engine.generate_event_stream(cfg))
+        engine.mrca_time(stream, 5.0)
+        read.clear()
+        assert engine.mrca_time(stream, 4.9) == a_fresh
+        assert sum(read) < n_fresh / 4
+
+    def test_coalescent_curve_with_floor_ignores_the_memo(self):
+        cfg = engine.EngineConfig(level_cap=50, t_start=0.0, t_end=10.0,
+                                  burn_in=15.0, seed=7)
+        stream = engine.generate_event_stream(cfg)
+        before = engine.coalescent_curve(stream, 6.0, s_min=5.0)
+        engine.observables_at(stream, 6.5)
+        memo = stream._last_drop
+        after = engine.coalescent_curve(stream, 6.0, s_min=5.0)
+        assert stream._last_drop is memo
+        assert np.array_equal(before.knot_times, after.knot_times)
+        assert (before.lowest_value, before.truncated) == \
+            (after.lowest_value, after.truncated)

@@ -39,3 +39,22 @@ def test_echo_lines(capsys):
     verify.run_suite("quick", only=[1], echo=print)
     out = capsys.readouterr().out
     assert "criterion  1 [exact-constants] PASS" in out
+
+
+def test_raising_check_fails_alone(monkeypatch):
+    # an exception in one check is that check's FAIL; the rest still run
+    def broken(params, seed):
+        raise RuntimeError("boom")
+
+    checks = list(verify.CHECKS)
+    checks[1] = broken
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    suite = verify.run_suite("quick", only=[1, 2, 10])
+    assert [r.criterion for r in suite.results] == [1, 2, 10]
+    failed = suite.results[1]
+    assert not failed.passed and not suite.all_passed
+    assert failed.detail == "raised RuntimeError: boom"
+    assert "RuntimeError" in failed.reports[0]["traceback"]
+    assert failed.seconds >= 0
+    assert suite.results[0].passed and suite.results[2].passed
+    json.loads(suite.to_json())
