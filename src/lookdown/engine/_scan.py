@@ -2,20 +2,18 @@
 
 Every genealogical scan asks one question of the look-down graph: which is
 the next event, walking forward or backward, whose dst is at or below a
-level threshold that moves only at such events?  Two cursors answer it,
-both drawing chunks from ``stream.iter_chunks``.
+level threshold that moves only at such events?  One cursor,
+``unit_step_hits``, answers it for all four scans and is the only place
+that draws chunks from ``stream.iter_chunks``.
 
-``unit_step_hits`` serves the scans whose threshold moves by exactly one
-per hit: the block count of ``backward_drops`` falls by one at each drop,
-and the line of ``track_line_forward`` rises by one at each push.  Within a
-block, event k then hits iff ``dst[k] <= level + step * H[k]``, with H[k]
-the hits before k, and ``unit_step_block`` solves that for all k at once by
-fixed-point iteration.
-
-``hits`` serves the others, ``trace_level_backward`` and ``curve_pass``,
-whose thresholds jump by other amounts.  It finds one hit at a time by a
-vectorized search over a block that starts small, grows after each miss
-and starts small again after each hit.
+Each threshold moves by one per hit over runs of hits.  The block count of
+``backward_drops`` and the lineage level of ``trace_level_backward`` fall;
+the line level of ``track_line_forward`` and the leader level of
+``curve_pass`` rise.  A run ends where the lineage meets an event on its
+own level (it jumps to the src) or where the line or the leader reaches
+the level cap.  Within a run, event k hits iff ``dst[k] <= level + step *
+H[k]``, with H[k] the hits before k; ``unit_step_block`` solves that for a
+whole block of events at once, and the caller says where the run ends.
 """
 
 from __future__ import annotations
@@ -24,36 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_BLOCK_MIN = 64
-_BLOCK_MAX = 8192
 _UNIT_BLOCK_MIN = 1024
 _UNIT_BLOCK_MAX = 65536
-
-
-def hits(stream, a: float, b: float, level, reverse: bool = False):
-    """Yield (time, src, dst) of each event with a <= time <= b and
-    dst <= level(), in ascending time order (descending when reverse).
-
-    level() is read at the start and again after each hit, so the caller
-    moves the threshold between hits.
-    """
-    block = _BLOCK_MIN
-    for times, srcs, dsts in stream.iter_chunks(a, b, reverse=reverse):
-        if reverse:
-            times, srcs, dsts = times[::-1], srcs[::-1], dsts[::-1]
-        pos, n = 0, len(times)
-        thresh = level()
-        while pos < n:
-            hi = min(n, pos + block)
-            mask = dsts[pos:hi] <= thresh
-            j = int(np.argmax(mask))
-            if not mask[j]:
-                pos, block = hi, min(block * 4, _BLOCK_MAX)
-                continue
-            j += pos
-            yield float(times[j]), int(srcs[j]), int(dsts[j])
-            pos, block = j + 1, _BLOCK_MIN
-            thresh = level()
 
 
 def unit_step_block(dst: np.ndarray, level: int, step: int):
@@ -78,22 +48,30 @@ def unit_step_block(dst: np.ndarray, level: int, step: int):
         h = nxt
 
 
-def unit_step_hits(stream, a: float, b: float, level: int, step: int,
-                   limit: int, reverse: bool = False):
-    """Yield the hits of a scan whose threshold starts at level and moves
-    by step at each hit, as (times, srcs, dsts) arrays, one per block that
-    holds any, in scan order; stop after limit hits.
+def unit_step_hits(stream, a: float, b: float, level, step: int, cut,
+                   reverse: bool = False):
+    """Yield the hits of a scan over the events a <= time <= b, in
+    ascending time order (descending when reverse), as (times, srcs, dsts)
+    arrays, one per block that holds any.
 
-    The events a <= time <= b are walked in ascending time order
-    (descending when reverse) in blocks that start at _UNIT_BLOCK_MIN
-    events and grow x2 after a block with hits and x4 after one without.
-    Each block is first narrowed to the events with dst <= c.  A falling
-    threshold never exceeds c = level, so every hit is among them.  A
-    rising one stays at or below c = 2 * level until its first level + 1
-    hits are made, so the scan is exact up to the last of them, and the
-    next block starts right after it.
+    level() is the threshold, read at the start and after each yield, and
+    taken to move by step at each hit.  cut(dsts), given the dsts of a
+    block's hits, says how many of them (at least one) hold; the next block
+    starts right after the last of those.  A threshold below 2 ends the
+    scan, since no event has dst < 2.
+
+    Blocks start at _UNIT_BLOCK_MIN events and grow x2 after a block with
+    hits and x4 after one without, up to _UNIT_BLOCK_MAX.  Each block is
+    first narrowed to the events with dst <= c.  A falling threshold never
+    exceeds c = level, so every hit is among them.  A rising one stays at
+    or below c = 2 * level until its first level + 1 hits are made, so the
+    block is exact only up to the last of them, and the next block starts
+    right after it even when cut holds them all.
     """
     block = _UNIT_BLOCK_MIN
+    thresh = level()
+    if thresh < 2:
+        return
     for times, srcs, dsts in stream.iter_chunks(a, b, reverse=reverse):
         if reverse:
             times, srcs, dsts = times[::-1], srcs[::-1], dsts[::-1]
@@ -101,23 +79,20 @@ def unit_step_hits(stream, a: float, b: float, level: int, step: int,
         while pos < n:
             hi = min(n, pos + block)
             d = dsts[pos:hi]
-            if step < 0:
-                c, exact = level, limit
-            else:
-                c, exact = 2 * level, min(limit, level + 1)
+            c, exact = (thresh, None) if step < 0 else (2 * thresh, thresh + 1)
             cand = np.flatnonzero(d <= c)
-            hit, _ = unit_step_block(d[cand], level, step)
+            hit, _ = unit_step_block(d[cand], thresh, step)
             idx = pos + cand[hit]
             if not idx.size:
                 pos, block = hi, min(block * 4, _UNIT_BLOCK_MAX)
                 continue
-            if len(idx) >= exact:
-                idx = idx[:exact]
+            k = cut(dsts[idx[:exact]])
+            if k < len(idx) or k == exact:
+                idx = idx[:k]
                 hi = int(idx[-1]) + 1
-            limit -= len(idx)
-            level += step * len(idx)
             yield times[idx], srcs[idx], dsts[idx]
-            if not limit:
+            thresh = level()
+            if thresh < 2:
                 return
             pos, block = hi, min(block * 2, _UNIT_BLOCK_MAX)
 
@@ -144,8 +119,8 @@ def backward_drops(stream, t: float, s_floor: float | None = None,
     empty = np.empty(0, dtype=np.int32)
     parts = [(empty.astype(np.float64), empty, empty)]
     n = 0
-    for times, srcs, dsts in unit_step_hits(stream, lo, t, cap, -1, cap - 1,
-                                            reverse=True):
+    for times, srcs, dsts in unit_step_hits(stream, lo, t, lambda: cap - n,
+                                            -1, len, reverse=True):
         if prior is not None and n < len(prior[0]):
             pt, ps, pd = (x[n:n + len(times)] for x in prior)
             k = len(pt)
@@ -172,7 +147,8 @@ def track_line_forward(stream, s_from: float, t_to: float, level0: int):
     cap = stream.config.level_cap
     y = level0
     for times, _, _ in unit_step_hits(stream, np.nextafter(s_from, np.inf),
-                                      t_to, level0, 1, cap - level0 + 1):
+                                      t_to, lambda: y, 1,
+                                      lambda d: min(len(d), cap + 1 - y)):
         y += len(times)
         if y > cap:
             return None, float(times[-1])
@@ -187,13 +163,16 @@ def trace_level_backward(stream, t: float, j: int, s: float) -> int:
     strictly after s count (the time-s individual itself is the ancestor).
     """
     x = j
-    if x == 1:
-        return x
-    for _, src, d in hits(stream, np.nextafter(s, np.inf), t, lambda: x,
-                          reverse=True):
-        x = src if d == x else x - 1
-        if x == 1:
-            break
+
+    def cut(d):
+        # hits up to the first one on the level itself, which jumps
+        on = np.flatnonzero(d == x - np.arange(len(d)))
+        return int(on[0]) + 1 if on.size else len(d)
+
+    for _, srcs, dsts in unit_step_hits(stream, np.nextafter(s, np.inf), t,
+                                        lambda: x, -1, cut, reverse=True):
+        k = len(dsts)
+        x = int(srcs[-1]) if dsts[-1] == x - k + 1 else x - k
     return x
 
 
@@ -227,30 +206,37 @@ def curve_pass(stream, a: float, b: float,
     res = CurvePassResult()
     levels: list[int] = []   # active curve levels, strictly decreasing
     ids: list[int] = []
-    for tau, src, d in hits(stream, a, b,
-                            lambda: levels[0] + 1 if levels else 2):
-        # a qualifying event always pushes the leader; crossing the cap
-        # is the exit, and that final push is not a path knot
-        will_exit = bool(levels) and levels[0] + 1 >= cap
-        m = 0
-        while m < len(levels) and levels[m] >= d - 1:
-            levels[m] += 1
-            if record_paths and not (m == 0 and will_exit):
-                res.path_times[ids[m]].append(tau)
-                res.path_levels[ids[m]].append(levels[m])
-            m += 1
-        if d == 2 and src == 1:
-            cid = len(res.births)
-            res.births.append(tau)
-            levels.append(2)
-            ids.append(cid)
-            if record_paths:
-                res.path_times[cid] = [tau]
-                res.path_levels[cid] = [2]
-        if will_exit:
-            res.exit_times.append(tau)
-            res.exit_birth_ids.append(ids[0])
-            levels.pop(0)
-            ids.pop(0)
+
+    def level():
+        return levels[0] + 1 if levels else 2
+
+    # each hit pushes the leader, so the threshold rises by one per hit up
+    # to the exit, which is hit number cap + 1 - level()
+    for block in unit_step_hits(stream, a, b, level, 1,
+                                lambda d: min(len(d), cap + 1 - level())):
+        for tau, src, d in zip(*(x.tolist() for x in block)):
+            # a qualifying event always pushes the leader; crossing the cap
+            # is the exit, and that final push is not a path knot
+            will_exit = bool(levels) and levels[0] + 1 >= cap
+            m = 0
+            while m < len(levels) and levels[m] >= d - 1:
+                levels[m] += 1
+                if record_paths and not (m == 0 and will_exit):
+                    res.path_times[ids[m]].append(tau)
+                    res.path_levels[ids[m]].append(levels[m])
+                m += 1
+            if d == 2 and src == 1:
+                cid = len(res.births)
+                res.births.append(tau)
+                levels.append(2)
+                ids.append(cid)
+                if record_paths:
+                    res.path_times[cid] = [tau]
+                    res.path_levels[cid] = [2]
+            if will_exit:
+                res.exit_times.append(tau)
+                res.exit_birth_ids.append(ids[0])
+                levels.pop(0)
+                ids.pop(0)
     res.open_ids = list(ids)
     return res

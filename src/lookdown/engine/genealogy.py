@@ -88,12 +88,13 @@ def mrca_time(stream: EventStream, t: float) -> float:
     checked, not assumed.
     """
     stream.require_inside(t)
-    return float(_drop_to_one_block(stream, t)[-1])
+    return float(_drop_to_one_block(stream, t)[0][-1])
 
 
-def _drop_to_one_block(stream: EventStream, t: float) -> np.ndarray:
-    """Backward drop knots from t down to one block (descending times);
-    the last one, A_t, must sit on a (1, 2) event.
+def _drop_to_one_block(stream: EventStream, t: float
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Backward drops from t down to one block as (times, dsts), in
+    descending time; the last one, A_t, must sit on a (1, 2) event.
 
     The scan ends early where it meets the stream's last completed one
     (``EventStream._last_drop``), which it then replaces.
@@ -109,7 +110,7 @@ def _drop_to_one_block(stream: EventStream, t: float) -> np.ndarray:
     for x in drops[:3]:
         x.flags.writeable = False
     stream._last_drop = drops[:3]
-    return knots_desc
+    return knots_desc, dsts
 
 
 def backward_level(stream: EventStream, t: float, j: int, s: float) -> int:
@@ -133,13 +134,11 @@ class FixationCurve:
 
     birth: float
     exit_time: float | None
-    path_times: np.ndarray | None
-    path_levels: np.ndarray | None
+    path_times: np.ndarray
+    path_levels: np.ndarray
     is_open: bool
 
     def value_at(self, tau: float) -> int:
-        if self.path_times is None:
-            raise LookdownError("curve extracted without a recorded path")
         if tau < self.birth or (self.exit_time is not None
                                 and tau >= self.exit_time):
             raise WindowRangeError("time outside [birth, exit)")
@@ -200,8 +199,8 @@ class MrcaPointProcess:
 
 
 def extract_fixation_curves(stream: EventStream,
-                            window: tuple[float, float] | None = None,
-                            record_paths: bool = True) -> list[FixationCurve]:
+                            window: tuple[float, float] | None = None
+                            ) -> list[FixationCurve]:
     """All fixation curves born inside the window, nested and in birth order.
 
     The sweep always starts at the stream's earliest available time, so
@@ -211,8 +210,7 @@ def extract_fixation_curves(stream: EventStream,
     cfg = stream.config
     qa, qb = (cfg.t_start, cfg.t_end) if window is None else window
     stream.require_inside(qa, qb)
-    res = _scan.curve_pass(stream, stream.window[0], qb,
-                           record_paths=record_paths)
+    res = _scan.curve_pass(stream, stream.window[0], qb, record_paths=True)
     exit_of = {cid: e for e, cid in zip(res.exit_times, res.exit_birth_ids)}
     out = []
     for cid, b in enumerate(res.births):
@@ -221,8 +219,8 @@ def extract_fixation_curves(stream: EventStream,
         e = exit_of.get(cid)
         out.append(FixationCurve(
             birth=b, exit_time=e,
-            path_times=(np.asarray(res.path_times[cid]) if record_paths else None),
-            path_levels=(np.asarray(res.path_levels[cid]) if record_paths else None),
+            path_times=np.asarray(res.path_times[cid]),
+            path_levels=np.asarray(res.path_levels[cid]),
             is_open=e is None))
     return out
 
@@ -278,23 +276,25 @@ class MrcaObservables:
 
 
 def observables_at(stream: EventStream, t: float) -> MrcaObservables:
-    """(A_t, L_t, I_t, Z_t) at time t, from the backward coalescent scan
-    plus a forward track of the next-establishing fixation curve."""
+    """(A_t, L_t, I_t, Z_t) at time t: A_t, I_t and Z_t from the drops of
+    the backward coalescent scan, L_t from a forward track of the
+    next-establishing fixation curve."""
     stream.require_inside(t)
     if t - stream.window[0] < _MIN_WARMUP:
         warnings.warn(f"query at {t} has less than {_MIN_WARMUP} time units "
                       "of history; stationarity is not guaranteed",
                       StationarityWarning, stacklevel=2)
-    knots_desc = _drop_to_one_block(stream, t)
+    knots_desc, dsts = _drop_to_one_block(stream, t)
     a_t = float(knots_desc[-1])
     knots_asc = knots_desc[::-1]
 
-    births = stream.p12_between(a_t, t)
-    births = births[births > a_t]
+    # C >= 2 on (A_t, t], so every (1, 2) event there is a drop: the
+    # level-2 births after A_t are the drops before the last with dst 2
+    births = knots_desc[:-1][dsts[:-1] == 2]
     if births.size == 0:
         return MrcaObservables(time=t, mrca_time=a_t, fixation_level=1,
                                coalescent_level=INF, curve_count=0)
-    b_t = float(births[0])
+    b_t = float(births[-1])
     # the fixation curve born at B_t tracks the line sitting at level 3
     # just after the (1,2) event at B_t; L_t is its level at t minus one
     y, exit_time = _scan.track_line_forward(stream, b_t, t, 3)

@@ -271,15 +271,6 @@ class EventStream:
             for m in range(len(times)):
                 yield LookdownEvent(float(times[m]), int(srcs[m]), int(dsts[m]))
 
-    def p12_between(self, a: float, b: float) -> np.ndarray:
-        """Times of (1, 2) events (level-2 births) with a <= time <= b."""
-        out = []
-        for times, srcs, dsts in self.iter_chunks(a, b):
-            mask = (dsts == 2)
-            if mask.any():
-                out.append(times[mask])
-        return np.concatenate(out) if out else np.empty(0)
-
 
 def generate_event_stream(config: EngineConfig) -> EventStream:
     """Lazy stream of independent rate-1 pair processes, seed-determined."""

@@ -330,9 +330,6 @@ class TcMixture:
     terms: tuple[tuple[Fraction, int], ...]
     tail_bound: float
 
-    def component_means(self) -> list[Fraction]:
-        return [HoldingTimes.s_mean(i) for _, i in self.terms]
-
 
 def pmf_Tc_mixture(max_terms: int = 40) -> TcMixture:
     terms = tuple((pmf_L(l), l + 1) for l in range(1, max_terms + 1))

@@ -117,9 +117,6 @@ class PmfTable:
                 return w
         return Fraction(0)
 
-    def as_floats(self) -> list[float]:
-        return [float(w) for w in self.weights]
-
     def to_rows(self) -> list[dict[str, Any]]:
         rows = []
         for v, w in self.items():

@@ -221,22 +221,10 @@ def _lookdown_LI_samples(levels: int, n: int, seed: int):
 def check_lookdown_observables(p: dict, seed: int) -> CheckResult:
     n, levels = p["c6_n"], p["c6_levels"]
     ls, iis = _lookdown_LI_samples(levels, n, child_seed(seed, "c6"))
-    bias = 0.005
-
-    exact_l = laws.pmf_L_table(8)
-    rep = stats.chi_square_gof(stats.empirical_pmf(ls), exact_l,
-                               alpha=ALPHA, name="L_vs_pmf_L")
-    l_ok = rep.passed
-    fallback = ""
-    if not l_ok:
-        # finite-N allowance: every cell within 0.005 + 4 binomial SEs
-        within = []
-        for lv in range(1, 9):
-            pr = float(laws.pmf_L(lv))
-            phat = sum(1 for x in ls if x == lv) / n
-            within.append(abs(phat - pr) <= bias + 4 * math.sqrt(pr * (1 - pr) / n))
-        l_ok = all(within)
-        fallback = f"; bias-allowance fallback {'passed' if l_ok else 'failed'}"
+    # at level cap N, L follows the K chain's marginal K^N exactly
+    rep = stats.chi_square_gof(stats.empirical_pmf(ls),
+                               laws.K_table(levels, 8), alpha=ALPHA,
+                               name="L_vs_K_N")
 
     worst_z = 0.0
     joint_ok = True
@@ -247,10 +235,10 @@ def check_lookdown_observables(p: dict, seed: int) -> CheckResult:
         z = abs(phat - pr) / se
         worst_z = max(worst_z, z)
         joint_ok &= z <= 4.0
-    ok = l_ok and joint_ok
+    ok = rep.passed and joint_ok
     return CheckResult(
         name="lookdown-observables", criterion=6, passed=ok,
-        detail=(f"N={levels}, n={n}: chi2(L) p={rep.p_value:.4f}{fallback}; "
+        detail=(f"N={levels}, n={n}: chi2(L) p={rep.p_value:.4f}; "
                 f"P[L=2,I=i] worst |z|={worst_z:.2f} (<=4)"),
         reports=[rep.to_dict()])
 

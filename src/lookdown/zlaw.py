@@ -111,13 +111,6 @@ class PiPoly:
                          for m, c in enumerate(self.coeffs)))
 
 
-def f_weight(level: int) -> Fraction:
-    """f(l) = 1/((l+2)(l-1)), the per-particle factor of pi_Lambda over 2."""
-    if level < 2:
-        raise DomainError("f is defined on levels >= 2")
-    return Fraction(1, (level + 2) * (level - 1))
-
-
 def b_constant(j: int) -> Fraction:
     """b_j = 1 + 2^-j + 3^-j."""
     if j < 1:

@@ -7,7 +7,8 @@ slow and direct; shares no code with the engine's backward scans.
 
 ``unit_step_scan`` walks a scan whose threshold moves by one per hit one
 event at a time, the reference for ``_scan.unit_step_block`` and
-``_scan.unit_step_hits``.
+``_scan.unit_step_hits``; ``curve_pass_per_event`` walks every fixation
+curve through every event, the reference for ``_scan.curve_pass``.
 
 ``transition_rates`` and ``step`` move the fixation-curve particle system
 one transition at a time, the event-by-event law that ``particles.simulate``
@@ -36,6 +37,37 @@ def unit_step_scan(dsts, level: int, step: int,
             out.append(k)
             level += step
     return out
+
+
+def curve_pass_per_event(events, level_cap: int):
+    """Every fixation curve through the time-sorted events, one event at a
+    time: (births, exit_times, exit_ids, open_ids, paths), with paths[id]
+    the (time, level) knots of curve id.
+
+    Each event with dst = d pushes every curve at a level >= d - 1; a curve
+    pushed to level_cap exits there (no knot), and a (1, 2) event then
+    births a curve at level 2.
+    """
+    births: list[float] = []
+    exit_times: list[float] = []
+    exit_ids: list[int] = []
+    paths: dict[int, list[tuple[float, int]]] = {}
+    alive: list[list[int]] = []   # [id, level], oldest first
+    for tau, src, d in events:
+        for curve in alive:
+            if curve[1] >= d - 1:
+                curve[1] += 1
+                if curve[1] < level_cap:
+                    paths[curve[0]].append((tau, curve[1]))
+        for curve in [c for c in alive if c[1] >= level_cap]:
+            exit_times.append(tau)
+            exit_ids.append(curve[0])
+            alive.remove(curve)
+        if (src, d) == (1, 2):
+            paths[len(births)] = [(tau, 2)]
+            alive.append([len(births), 2])
+            births.append(tau)
+    return births, exit_times, exit_ids, [c[0] for c in alive], paths
 
 
 def transition_rates(levels: Sequence[int]) -> list[tuple[str, int | None, int]]:
@@ -92,7 +124,7 @@ class GraphOracle:
                                "knots": [(start_time, lvl)], "death": None}
             occupant[lvl] = lid
         self.occupant_history.append((start_time, dict(occupant)))
-        for (t, i, j) in sorted(events):
+        for n, (t, i, j) in enumerate(sorted(events)):
             t, i, j = float(t), int(i), int(j)
             doomed = occupant[level_cap]
             self.lines[doomed]["death"] = t
@@ -100,7 +132,7 @@ class GraphOracle:
                 lid = occupant[lvl - 1]
                 occupant[lvl] = lid
                 self.lines[lid]["knots"].append((t, lvl))
-            new_id = f"b{t}@{j}"
+            new_id = f"b{t}@{j}#{n}"   # events may share a time
             self.lines[new_id] = {"birth_time": t, "parent": occupant[i],
                                   "knots": [(t, j)], "death": None}
             occupant[j] = new_id

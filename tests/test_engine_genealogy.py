@@ -19,6 +19,12 @@ def _stream(level_cap, t_end, burn_in=15.0, seed=0):
         seed=seed))
 
 
+def _p12_times(st, a, b):
+    """Times of the (1, 2) events with a <= time <= b."""
+    t, _, d = st.events_between(a, b)
+    return t[d == 2]
+
+
 class TestBackwardLevelAgainstOracle:
     def test_immortal_line(self):
         st = _stream(8, 20.0, seed=1)
@@ -134,7 +140,7 @@ class TestMrcaTime:
     def test_on_p12_and_piecewise_constant(self):
         st = _stream(25, 30.0, seed=8)
         a = engine.mrca_time(st, 10.0)
-        assert st.p12_between(a, a).size == 1
+        assert _p12_times(st, a, a).size == 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             pp = engine.mrca_point_process(st, window=(0.0, 30.0))
@@ -167,7 +173,7 @@ class TestFixationCurves:
     def test_births_are_p12_points(self):
         st = _stream(20, 30.0, seed=11)
         curves = engine.extract_fixation_curves(st)
-        p12 = set(st.p12_between(*st.window).tolist())
+        p12 = set(_p12_times(st, *st.window).tolist())
         assert all(c.birth in p12 for c in curves)
 
     def test_level2_holding_time_mean_third(self):
@@ -212,7 +218,7 @@ class TestMrcaPointProcess:
 
     def test_bijection_with_p12(self):
         st, pp = self._pp(seed=15, t_end=60.0)
-        p12 = st.p12_between(*st.window)
+        p12 = _p12_times(st, *st.window)
         # every living time is a p12 point, each used once
         assert set(pp.living.tolist()) <= set(p12.tolist())
         assert len(set(pp.living.tolist())) == pp.living.size
@@ -227,7 +233,7 @@ class TestMrcaPointProcess:
 
     def test_z_cross_definition(self):
         st, pp = self._pp(seed=17, t_end=120.0)
-        curves = engine.extract_fixation_curves(st, record_paths=False)
+        curves = engine.extract_fixation_curves(st)
         for q in np.linspace(20.0, 110.0, 13):
             z_curves = sum(1 for c in curves if c.birth < q and
                            (c.exit_time is None or c.exit_time > q))

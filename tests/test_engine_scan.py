@@ -1,5 +1,6 @@
-"""The unit-step block kernel against a per-event loop, and backward
-queries that end on the stream's previous drop against fresh streams."""
+"""The scan cursor against per-event loops and the graph replay, and
+backward queries that end on the stream's previous drop against fresh
+streams."""
 
 import numpy as np
 import pytest
@@ -10,12 +11,21 @@ from lookdown import engine
 from lookdown.engine import _scan, genealogy
 from lookdown.errors import LookdownError
 
-from oracle import unit_step_scan
+from oracle import GraphOracle, curve_pass_per_event, unit_step_scan
 
 CAP = 12
 
 dst_arrays = st.lists(st.integers(2, CAP), max_size=200).map(
     lambda xs: np.asarray(xs, dtype=np.int32))
+
+SMALL_CAP = 7
+
+# events on a quarter-unit grid of [0, 10], so many share a time
+tied_events = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(1, SMALL_CAP),
+              st.integers(1, SMALL_CAP)).filter(lambda e: e[1] != e[2]),
+    max_size=150).map(lambda raw: [(0.25 * k, min(a, b), max(a, b))
+                                   for k, a, b in raw])
 
 
 def _fixed_stream(dsts, level_cap=CAP, seed=0):
@@ -69,6 +79,20 @@ class TestUnitStepBlock:
         assert len(dsts) // 4 < rounds <= len(dsts)
 
 
+def _unit_step_run(stream, level0, step, limit, reverse=False):
+    """Times of the hits of the cursor driven as one unit-step run of at
+    most limit hits over the whole stream."""
+    n, got = 0, []
+    for times, _, _ in _scan.unit_step_hits(
+            stream, 0.0, stream.window[1], lambda: level0 + step * n, step,
+            lambda d: min(len(d), limit - n), reverse=reverse):
+        got.extend(times)
+        n += len(times)
+        if n == limit:
+            break
+    return got
+
+
 class TestUnitStepHits:
     @settings(max_examples=200, deadline=None, suppress_health_check=fixture_ok)
     @given(dst_arrays)
@@ -76,9 +100,7 @@ class TestUnitStepHits:
         stream = _fixed_stream(dsts)
         times = stream.events()[0][::-1]
         want = unit_step_scan(dsts[::-1], CAP, -1, CAP - 1)
-        hits = list(_scan.unit_step_hits(stream, 0.0, stream.window[1], CAP,
-                                         -1, CAP - 1, reverse=True))
-        got = np.concatenate([h[0] for h in hits]) if hits else []
+        got = _unit_step_run(stream, CAP, -1, CAP - 1, reverse=True)
         assert list(got) == list(times[want])
         drops = _scan.backward_drops(stream, stream.window[1])
         assert list(drops[0]) == list(times[want])
@@ -95,8 +117,7 @@ class TestUnitStepHits:
         limit = CAP - level0 + 1
         want = unit_step_scan(dsts, level0, 1, limit)
         end = stream.window[1]
-        hits = list(_scan.unit_step_hits(stream, 0.0, end, level0, 1, limit))
-        got = np.concatenate([h[0] for h in hits]) if hits else []
+        got = _unit_step_run(stream, level0, 1, limit)
         assert list(got) == list(times[want])
         y, exit_time = _scan.track_line_forward(stream, 0.0, end, level0)
         if len(want) == limit:
@@ -118,6 +139,65 @@ class TestUnitStepHits:
         assert exit_time == (times[want[-1]] if len(want) == 58 else None)
 
 
+def _small_stream(events):
+    cfg = engine.EngineConfig(level_cap=SMALL_CAP, t_start=0.0, t_end=10.0,
+                              burn_in=0.0, seed=0)
+    return engine.EventStream.from_events(cfg, events)
+
+
+class TestCurvePassAgainstPerEventLoop:
+    @settings(max_examples=300, deadline=None, suppress_health_check=fixture_ok)
+    @given(tied_events)
+    # no hit in the first block of 2; in the next, the three births from
+    # level 2 are its first level + 1 hits, and the dst 5 after them hits
+    # only if the block goes on right after the third
+    @example([(0.25, 3, 7), (0.5, 4, 7), (0.75, 1, 2), (1.0, 1, 2),
+              (1.25, 1, 2), (1.5, 2, 5)])
+    def test_matches_per_event_loop(self, small_blocks, events):
+        stream = _small_stream(events)
+        births, exits, exit_ids, open_ids, paths = curve_pass_per_event(
+            zip(*(x.tolist() for x in stream.events())), SMALL_CAP)
+        for record_paths in (False, True):
+            res = _scan.curve_pass(stream, *stream.window,
+                                   record_paths=record_paths)
+            assert res.births == births
+            assert res.exit_times == exits
+            assert res.exit_birth_ids == exit_ids
+            assert res.open_ids == open_ids
+        assert {cid: list(zip(res.path_times[cid], res.path_levels[cid]))
+                for cid in res.path_times} == paths
+
+
+class TestTraceAgainstGraphReplay:
+    @settings(max_examples=300, deadline=None, suppress_health_check=fixture_ok)
+    @given(tied_events, st.integers(0, 40), st.integers(0, 40),
+           st.integers(1, SMALL_CAP))
+    def test_backward_level_matches_graph_replay(self, small_blocks, events,
+                                                 k1, k2, j):
+        stream = _small_stream(events)
+        t, s = 0.25 * max(k1, k2), 0.25 * min(k1, k2)
+        oracle = GraphOracle(SMALL_CAP, 0.0, zip(*stream.events()))
+        assert engine.backward_level(stream, t, j, s) == \
+            oracle.backward_level(t, j, s)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_scans_stop_at_level_one(seed):
+    # a falling threshold that reaches 1 ends the scan: the drop to one
+    # block and a lineage traced far back read no slice below A_t
+    cfg = engine.EngineConfig(level_cap=100, t_start=0.0, t_end=10.0,
+                              burn_in=15.0, seed=seed)
+    stream = engine.generate_event_stream(cfg)
+    a_t = engine.mrca_time(stream, 10.0)
+    below_t = len(stream._slice_indices(a_t, 10.0))
+    assert stream.counters()["slices_generated"] == below_t
+    for j in (1, 50, 100):
+        stream = engine.generate_event_stream(cfg)
+        assert engine.backward_level(stream, 10.0, j, -15.0) == 1
+        assert stream.counters()["slices_generated"] <= (below_t if j > 1
+                                                         else 0)
+
+
 def _outcome(stream, t):
     """observables_at as a comparable tuple, or the error it raised."""
     try:
@@ -131,7 +211,7 @@ def _outcome(stream, t):
 def _drops(stream, t):
     """The drop times of a scan to one block, or the error it raised."""
     try:
-        return tuple(genealogy._drop_to_one_block(stream, t))
+        return tuple(genealogy._drop_to_one_block(stream, t)[0])
     except LookdownError as exc:
         return type(exc).__name__
 
@@ -228,3 +308,21 @@ class TestQueriesEndOnTheLastDrop:
         assert np.array_equal(before.knot_times, after.knot_times)
         assert (before.lowest_value, before.truncated) == \
             (after.lowest_value, after.truncated)
+
+
+@pytest.mark.filterwarnings("ignore::lookdown.errors.StationarityWarning")
+@pytest.mark.parametrize("seed", [3, 4])
+def test_z_and_b_from_the_births_after_the_mrca(seed):
+    # Z_t counts the (1, 2) events in (A_t, t]; I_t is the block count at
+    # the first of them, B_t
+    cfg = engine.EngineConfig(level_cap=40, t_start=0.0, t_end=12.0,
+                              burn_in=15.0, seed=seed)
+    stream = engine.generate_event_stream(cfg)
+    for t in np.linspace(0.0, 12.0, 31):
+        o = engine.observables_at(stream, float(t))
+        times, _, dsts = stream.events_between(o.mrca_time, float(t))
+        births = times[(dsts == 2) & (times > o.mrca_time)]
+        assert o.curve_count == births.size
+        if births.size:
+            curve = engine.coalescent_curve(stream, float(t))
+            assert o.coalescent_level == curve.value_at(float(births[0]))

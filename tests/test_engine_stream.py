@@ -122,13 +122,6 @@ class TestQueriesAndExport:
         with pytest.raises(WindowRangeError):
             st.require_inside(101.0)
 
-    def test_p12_extraction(self):
-        st = _stream(level_cap=5, seed=3)
-        p12 = st.p12_between(0.0, 100.0)
-        t, s, d = st.events()
-        expect = t[(s == 1) & (d == 2)]
-        assert np.array_equal(p12, expect)
-
     def test_iter_events_records(self):
         st = _stream(seed=4)
         evs = list(st.iter_events(0.0, 5.0))
