@@ -8,7 +8,8 @@ One binary, four subcommands:
   verify              the acceptance suite (quick or full profile)
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error,
-4 internal error (an engine invariant failed: a fault in the package).
+4 internal error (a fault in the package: an engine invariant failed, or
+a table the package built is invalid).
 Every run writes a manifest.json echoing the full configuration, the seed,
 versions, wall clock and output paths; re-running the recorded argv
 reproduces the output files byte for byte.
@@ -29,7 +30,8 @@ import numpy as np
 import scipy
 
 from . import __version__, engine, laws, mutations, particles, verify, zlaw
-from .errors import InternalError, LookdownError, StationarityWarning
+from .errors import (InternalError, LookdownError, StationarityWarning,
+                     ValidationError)
 from .seeding import rng_from
 
 ENV_OUT = "LOOKDOWN_OUT"
@@ -109,11 +111,8 @@ def cmd_simulate_lookdown(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         points = engine.mrca_point_process(stream)
-        # descending: the slices the forward sweep cached last are read
-        # first, and each backward scan can end on the one before it
         sample_times = np.arange(cfg.t_start, cfg.t_end, args.sample_spacing)
-        obs = [engine.observables_at(stream, float(t))
-               for t in sample_times[::-1]][::-1]
+        obs = [engine.observables_at(stream, float(t)) for t in sample_times]
     points_path = out / "mrca_points.csv"
     engine.export_points_csv(points, points_path)
     outputs.append(points_path)
@@ -217,10 +216,8 @@ def cmd_simulate_particles(args) -> int:
 # ---------------------------------------------------------------------------
 # tables
 
-def cmd_tables(args) -> int:
-    started = time.time()
-    args.seed = args.seed if args.seed is not None else 0
-    out = _out_dir(args)
+def _build_table(args):
+    """(table, summary) for args.which; the summary may be empty."""
     which = args.which
     extra: dict = {}
     if which == "L":
@@ -247,6 +244,19 @@ def cmd_tables(args) -> int:
                  "component": "value i labels the hypoexponential S_i^inf"}
     else:  # pragma: no cover - argparse restricts choices
         raise LookdownError(f"unknown table {which}")
+    return table, extra
+
+
+def cmd_tables(args) -> int:
+    started = time.time()
+    args.seed = args.seed if args.seed is not None else 0
+    out = _out_dir(args)
+    which = args.which
+    try:
+        table, extra = _build_table(args)
+    except ValidationError as exc:
+        # the arguments were valid: the package built a table it rejects
+        raise InternalError(f"table {which}: {exc}") from exc
 
     outputs: list[Path] = []
     if args.format == "json":

@@ -42,8 +42,8 @@ def unit_step_block(dst: np.ndarray, level: int, step: int):
     while True:
         rounds += 1
         hit = dst <= level + step * h
-        nxt = np.cumsum(hit) - hit
-        if np.array_equal(nxt, h):
+        nxt = hit.cumsum() - hit
+        if (nxt == h).all():
             return hit, rounds
         h = nxt
 
@@ -60,45 +60,94 @@ def unit_step_hits(stream, a: float, b: float, level, step: int, cut,
     starts right after the last of those.  A threshold below 2 ends the
     scan, since no event has dst < 2.
 
+    Each block is first narrowed to the events with dst <= c.  A falling
+    threshold never exceeds c = level, so every hit is among them.  A
+    rising one stays at or below c = 2 * level until its first level + 1
+    hits are made, so the block is exact only up to the last of them, and
+    the next block starts right after it even when cut holds them all.
+    Chunks are drawn with max_dst = c falling and 2 * c rising, so they
+    hold every dst up to c; when a rising c outgrows the bands of the
+    current chunk, the scan draws chunks again from just after the last
+    event it has examined.
+
     Blocks start at _UNIT_BLOCK_MIN events and grow x2 after a block with
-    hits and x4 after one without, up to _UNIT_BLOCK_MAX.  Each block is
-    first narrowed to the events with dst <= c.  A falling threshold never
-    exceeds c = level, so every hit is among them.  A rising one stays at
-    or below c = 2 * level until its first level + 1 hits are made, so the
-    block is exact only up to the last of them, and the next block starts
-    right after it even when cut holds them all.
+    hits and x4 after one without, up to _UNIT_BLOCK_MAX; a block after a
+    cut starts again at _UNIT_BLOCK_MIN, since at most level + 1 of its
+    hits can hold.
     """
-    block = _UNIT_BLOCK_MIN
     thresh = level()
     if thresh < 2:
         return
-    for times, srcs, dsts in stream.iter_chunks(a, b, reverse=reverse):
-        if reverse:
-            times, srcs, dsts = times[::-1], srcs[::-1], dsts[::-1]
-        pos, n = 0, len(times)
-        while pos < n:
-            hi = min(n, pos + block)
-            d = dsts[pos:hi]
-            c, exact = (thresh, None) if step < 0 else (2 * thresh, thresh + 1)
-            cand = np.flatnonzero(d <= c)
-            hit, _ = unit_step_block(d[cand], thresh, step)
-            idx = pos + cand[hit]
-            if not idx.size:
-                pos, block = hi, min(block * 4, _UNIT_BLOCK_MAX)
-                continue
-            k = cut(dsts[idx[:exact]])
-            if k < len(idx) or k == exact:
-                idx = idx[:k]
-                hi = int(idx[-1]) + 1
-            yield times[idx], srcs[idx], dsts[idx]
-            thresh = level()
-            if thresh < 2:
-                return
-            pos, block = hi, min(block * 2, _UNIT_BLOCK_MAX)
+
+    def bound():
+        return thresh if step < 0 else 2 * thresh
+
+    def max_dst():
+        # a rising threshold's chunks hold the band above its bound too,
+        # so that a climb draws chunks again at every second band edge
+        return thresh if step < 0 else 4 * thresh
+
+    block = _UNIT_BLOCK_MIN
+    last = None   # the last event examined before chunks are drawn again
+    while True:
+        chunks = stream.iter_chunks(a, b, reverse=reverse, max_dst=max_dst)
+        for times, srcs, dsts in chunks:
+            top = stream.band_top(max_dst())   # what iter_chunks just read
+            pos, n = 0, len(times)
+            if last is not None:
+                pos, last = _events_through(times, srcs, dsts, last,
+                                            reverse), None
+            if reverse:
+                times, srcs, dsts = times[::-1], srcs[::-1], dsts[::-1]
+            while pos < n:
+                hi = min(n, pos + block)
+                d = dsts[pos:hi]
+                exact = None if step < 0 else thresh + 1
+                cand = np.flatnonzero(d <= bound())
+                hit, _ = unit_step_block(d[cand], thresh, step)
+                idx = pos + cand[hit]
+                if not idx.size:
+                    pos, block = hi, min(block * 4, _UNIT_BLOCK_MAX)
+                    continue
+                k = cut(dsts[idx[:exact]])
+                if k < len(idx) or k == exact:
+                    idx = idx[:k]
+                    hi = int(idx[-1]) + 1
+                    block = _UNIT_BLOCK_MIN
+                else:
+                    block = min(block * 2, _UNIT_BLOCK_MAX)
+                yield times[idx], srcs[idx], dsts[idx]
+                thresh = level()
+                if thresh < 2:
+                    return
+                pos = hi
+                if stream.band_top(bound()) > top:
+                    # the chunk lacks dsts the threshold may now reach,
+                    # here or after its last event at the same time
+                    last = (times[pos - 1], srcs[pos - 1], dsts[pos - 1])
+                    break
+            if last is not None:
+                break
+        else:
+            return
+        chunks.close()
+        a, b = (a, float(last[0])) if reverse else (float(last[0]), b)
 
 
-def backward_drops(stream, t: float, s_floor: float | None = None,
-                   prior=None):
+def _events_through(times, srcs, dsts, last, reverse: bool) -> int:
+    """How many events of an ascending chunk that starts (ends, when
+    reverse) at the time of last = (time, src, dst) the scan meets before
+    or at last: those at that time whose (src, dst) is not past last's in
+    scan order."""
+    tau, s0, d0 = last
+    i, j = times.searchsorted(tau, "left"), times.searchsorted(tau, "right")
+    s, d = srcs[i:j], dsts[i:j]
+    if reverse:
+        s, d, s0, d0 = -s, -d, -s0, -d0
+    return int(np.count_nonzero((s < s0) | ((s == s0) & (d <= d0))))
+
+
+def backward_drops(stream, t: float, s_floor: float | None = None):
     """Backward block-count scan from t with C starting at level_cap.
 
     Every event with dst <= C, walking backward, drops C by one, down to
@@ -106,33 +155,16 @@ def backward_drops(stream, t: float, s_floor: float | None = None,
     order (descending time), where times[m] is the time at which C jumps
     (in forward time) to level_cap - m, so times[::-1] ascends and maps to
     values 2..level_cap when c_final == 1.
-
-    prior is a completed scan (times, srcs, dsts) on the same stream from
-    any reference time.  Two scans on one stream that hold the same count
-    before the same event see the same events with the same count from
-    there on.  A drop that is the prior's drop of the same index (same
-    event, so both counts agreed just before it) therefore ends the scan
-    with the prior's remaining drops.
     """
     lo = stream.window[0] if s_floor is None else max(s_floor, stream.window[0])
     cap = stream.config.level_cap
     empty = np.empty(0, dtype=np.int32)
     parts = [(empty.astype(np.float64), empty, empty)]
     n = 0
-    for times, srcs, dsts in unit_step_hits(stream, lo, t, lambda: cap - n,
-                                            -1, len, reverse=True):
-        if prior is not None and n < len(prior[0]):
-            pt, ps, pd = (x[n:n + len(times)] for x in prior)
-            k = len(pt)
-            same = ((pt == times[:k]) & (ps == srcs[:k])
-                    & (pd == dsts[:k]))
-            if same.any():
-                j = int(np.argmax(same))
-                parts.append((times[:j], srcs[:j], dsts[:j]))
-                parts.append(tuple(x[n + j:] for x in prior))
-                break
-        parts.append((times, srcs, dsts))
-        n += len(times)
+    for block in unit_step_hits(stream, lo, t, lambda: cap - n, -1, len,
+                                reverse=True):
+        parts.append(block)
+        n += len(block[0])
     times, srcs, dsts = (np.concatenate(x) for x in zip(*parts))
     return times, srcs, dsts, cap - len(times)
 

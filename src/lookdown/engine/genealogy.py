@@ -94,22 +94,14 @@ def mrca_time(stream: EventStream, t: float) -> float:
 def _drop_to_one_block(stream: EventStream, t: float
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Backward drops from t down to one block as (times, dsts), in
-    descending time; the last one, A_t, must sit on a (1, 2) event.
-
-    The scan ends early where it meets the stream's last completed one
-    (``EventStream._last_drop``), which it then replaces.
-    """
-    drops = _scan.backward_drops(stream, t, prior=stream._last_drop)
-    knots_desc, srcs, dsts, c_final = drops
+    descending time; the last one, A_t, must sit on a (1, 2) event."""
+    knots_desc, srcs, dsts, c_final = _scan.backward_drops(stream, t)
     if c_final > 1:
         raise InsufficientWindowError(
             f"window exhausted at {c_final} blocks; extend burn_in")
     last_pair = (int(srcs[-1]), int(dsts[-1]))
     if last_pair != (1, 2):
         raise InternalError(f"MRCA drop at pair {last_pair}, not (1, 2)")
-    for x in drops[:3]:
-        x.flags.writeable = False
-    stream._last_drop = drops[:3]
     return knots_desc, dsts
 
 

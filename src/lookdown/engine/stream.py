@@ -5,17 +5,28 @@ an independent rate-1 Poisson process of "j looks down to i" events on the
 window [t_start - burn_in, t_end].  Level 1 is the immortal line and is
 never pushed.
 
-Generation is lazy per time-slice: the time axis is cut on a fixed absolute
-grid (width 0.5), each slice is synthesized on first touch from an RNG
-derived from (seed, slice index), and slices are cached with an eviction
-budget.  Total event rate is C(level_cap, 2) per unit time, so at the
-default level_cap of 1000 a query pays only for the few time units its
-scans actually visit; queries at the same absolute times see identical
-events regardless of window bounds or query order.
+Events are generated per dst band: (1, 16], (16, 32], (32, 64], ..., the
+top band cut at level_cap.  By the consistency of the look-down
+construction (Donnelly & Kurtz), the events with dst <= m are on their own
+the m-level look-down, so a scan whose threshold stays at or below m reads
+only the bands up to m.  Each band cuts the time axis on its own fixed
+absolute grid, of a power-of-two width chosen so that a slice holds about
+SLICE_EVENTS events and never wider than the band below, so the grids
+nest.  Each slice is synthesized on first touch from an RNG derived from
+(seed, band, slice index) and cached with an eviction budget.
+
+A backward query from level_cap down to one block crosses each band in
+about 2/(lowest level of the band) time units, so it reads about
+SLICE_EVENTS events per band plus a few time units of the lowest one:
+O(level_cap) events in all, where one time unit of the whole stream holds
+C(level_cap, 2).  Caps of 10^4 are practical.  Queries at the same
+absolute times see identical events regardless of window bounds or query
+order.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from collections import OrderedDict
@@ -28,7 +39,8 @@ from ..errors import ConfigurationError, WindowRangeError
 from ..laws import comb2
 from ..seeding import rng_from
 
-SLICE_WIDTH = 0.5
+FIRST_BAND_TOP = 16
+SLICE_EVENTS = 1000
 CACHE_EVENT_BUDGET = 4_000_000
 
 
@@ -59,10 +71,6 @@ class EngineConfig:
     def window(self) -> tuple[float, float]:
         return (self.t_start - self.burn_in, self.t_end)
 
-    @property
-    def n_pairs(self) -> int:
-        return comb2(self.level_cap)
-
 
 @dataclass(frozen=True)
 class LookdownEvent:
@@ -74,51 +82,67 @@ class LookdownEvent:
     dst: int
 
 
-def _decode_pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Linear pair code c -> (src, dst), pairs ordered by (dst, src).
+def _band_edges(level_cap: int) -> list[int]:
+    """[1, 16, 32, ..., level_cap]: band b holds dst in (edges[b], edges[b+1]]."""
+    edges, top = [1], FIRST_BAND_TOP
+    while top < level_cap:
+        edges.append(top)
+        top *= 2
+    return edges + [level_cap]
 
-    code(src, dst) = C(dst-1, 2) + src - 1.  Pair counts stay far below
-    2^53, so the triangular root is taken in float64 and patched for the
-    rare off-by-one from sqrt rounding.
-    """
-    c = codes.astype(np.float64)
-    m = np.floor((1.0 + np.sqrt(8.0 * c + 1.0)) * 0.5)
-    tri = m * (m - 1.0) * 0.5
-    too_high = tri > c
-    if too_high.any():
-        m[too_high] -= 1.0
-        tri[too_high] = m[too_high] * (m[too_high] - 1.0) * 0.5
-    too_low = tri + m <= c
-    if too_low.any():
-        tri[too_low] += m[too_low]
-        m[too_low] += 1.0
-    src = (c - tri).astype(np.int32) + 1
-    dst = m.astype(np.int32) + 1
-    return src, dst
+
+def _slice_widths(edges: list[int]) -> list[float]:
+    """Per band, the power of two nearest to SLICE_EVENTS / (band rate),
+    but no wider than the band below, so each grid refines the one below."""
+    widths: list[float] = []
+    for lo, hi in zip(edges, edges[1:]):
+        w = 2.0 ** round(math.log2(SLICE_EVENTS / (comb2(hi) - comb2(lo))))
+        widths.append(min([w] + widths[-1:]))
+    return widths
+
+
+def _decode_pairs(codes: np.ndarray, lo: int, hi: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Linear pair codes of dsts in (lo, hi] -> (src, dst), pairs ordered
+    by (dst, src): code(src, dst) = C(dst-1, 2) + src - 1."""
+    first = comb2(np.arange(lo, hi, dtype=np.int64))   # code of (1, lo+1), ...
+    j = first.searchsorted(codes, side="right")
+    return ((codes - first[j - 1] + 1).astype(np.int32),
+            (j + lo).astype(np.int32))
 
 
 class EventStream:
     """Realized look-down events on a window; the randomness source for all
     genealogical observables.
 
-    The events are fixed at construction.  Queries mutate three things:
-    the slice cache, plain counters of its traffic (``counters()``), and
-    ``_last_drop``, the last completed backward drop to one block, which
-    the next one may end on (see ``_scan.backward_drops``).  The memo is
-    one attribute holding an immutable tuple and every prior is valid for
-    every query, so threads that share a stream and consume disjoint,
-    already-generated ranges need no lock; the counters may then miss
-    updates.
+    The events are fixed at construction.  Queries mutate only the slice
+    cache and plain counters of its traffic (``counters()``), so threads
+    that share a stream and consume disjoint, already-generated ranges need
+    no lock; the counters may then miss updates.
     """
 
     def __init__(self, config: EngineConfig, *,
                  _fixed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
         self.config = config
-        self._fixed = _fixed
-        self._cache: OrderedDict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
+        self._edges = _band_edges(config.level_cap)
+        self._fixed = None
+        if _fixed is None:
+            self._origin = 0.0
+            self._widths = _slice_widths(self._edges)
+        else:
+            # the same bands, each one slice holding the whole window
+            # strictly inside it, so no event sits on a grid line
+            lo, hi = config.window
+            band = np.searchsorted(self._edges, _fixed[2]) - 1
+            self._fixed = [tuple(x[band == b] for x in _fixed)
+                           for b in range(len(self._edges) - 1)]
+            self._origin = lo - 1.0
+            self._widths = [2.0 * (hi - lo + 1.0)] * len(self._fixed)
+        self._cache: OrderedDict[tuple[int, int],
+                                 tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
         self._cached_events = 0
-        self._last_drop: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.slices_generated = 0
+        self.events_generated = 0
         self.cache_hits = 0
         self.cache_evictions = 0
 
@@ -145,8 +169,10 @@ class EventStream:
         return cls(config, _fixed=(times, srcs, dsts))
 
     def counters(self) -> dict[str, int]:
-        """Slice-cache traffic so far: slices generated, hits, evictions."""
+        """Slice-cache traffic so far: slices and events generated, hits,
+        evictions."""
         return {"slices_generated": self.slices_generated,
+                "events_generated": self.events_generated,
                 "cache_hits": self.cache_hits,
                 "cache_evictions": self.cache_evictions}
 
@@ -165,27 +191,28 @@ class EventStream:
 
     # -- slice machinery ----------------------------------------------------
 
-    def _generate_slice(self, k: int):
-        cfg = self.config
-        rng = rng_from(cfg.seed, "slice", k)
-        lam = cfg.n_pairs * SLICE_WIDTH
-        n = int(rng.poisson(lam))
+    def _generate_slice(self, b: int, k: int):
+        """Events of band b in its slice k, the open interval (k w, (k+1) w)."""
+        c_lo, c_hi = comb2(self._edges[b]), comb2(self._edges[b + 1])
+        w = self._widths[b]
+        rng = rng_from(self.config.seed, "band", b, "slice", k)
+        n = int(rng.poisson((c_hi - c_lo) * w))
         # times sorted by construction: uniform order statistics realized
         # as normalized exponential spacings (no sort needed)
-        spac = rng.standard_exponential(n + 1)
-        cum = np.cumsum(spac)
-        times = k * SLICE_WIDTH + (SLICE_WIDTH / cum[-1]) * cum[:-1]
-        codes = rng.integers(0, cfg.n_pairs, size=n)
-        if n and times[0] == k * SLICE_WIDTH:
-            # grid lines belong to no slice; a zero spacing is measure-zero
-            keep = times > k * SLICE_WIDTH
+        cum = np.cumsum(rng.standard_exponential(n + 1))
+        times = k * w + (w / cum[-1]) * cum[:-1]
+        codes = rng.integers(c_lo, c_hi, size=n)
+        if n and not (times[0] > k * w and times[-1] < (k + 1) * w):
+            # grid lines belong to no slice; a time rounded onto one is
+            # measure-zero
+            keep = (times > k * w) & (times < (k + 1) * w)
             times, codes = times[keep], codes[keep]
-        srcs, dsts = _decode_pairs(codes)
-        if len(times) > 1:
-            dup = (np.diff(times) == 0) & (np.diff(srcs) == 0) & (np.diff(dsts) == 0)
-            if dup.any():
-                keep = np.concatenate(([True], ~dup))
-                times, srcs, dsts = times[keep], srcs[keep], dsts[keep]
+        srcs, dsts = _decode_pairs(codes, self._edges[b], self._edges[b + 1])
+        tie = times[1:] == times[:-1]
+        if tie.any():
+            dup = tie & (np.diff(srcs) == 0) & (np.diff(dsts) == 0)
+            keep = np.concatenate(([True], ~dup))
+            times, srcs, dsts = times[keep], srcs[keep], dsts[keep]
         # clip to the stream window
         lo, hi = self.window
         if times.size and (times[0] < lo or times[-1] > hi):
@@ -193,15 +220,18 @@ class EventStream:
             times, srcs, dsts = times[mask], srcs[mask], dsts[mask]
         return times, srcs, dsts
 
-    def _slice(self, k: int):
-        entry = self._cache.get(k)
+    def _slice(self, b: int, k: int):
+        key = (b, k)
+        entry = self._cache.get(key)
         if entry is not None:
-            self._cache.move_to_end(k)
+            self._cache.move_to_end(key)
             self.cache_hits += 1
             return entry
-        entry = self._generate_slice(k)
+        entry = (self._generate_slice(b, k) if self._fixed is None
+                 else self._fixed[b])
         self.slices_generated += 1
-        self._cache[k] = entry
+        self.events_generated += len(entry[0])
+        self._cache[key] = entry
         self._cached_events += len(entry[0])
         while self._cached_events > CACHE_EVENT_BUDGET and len(self._cache) > 1:
             _, old = self._cache.popitem(last=False)
@@ -209,43 +239,82 @@ class EventStream:
             self.cache_evictions += 1
         return entry
 
-    def _slice_indices(self, a: float, b: float) -> range:
-        k_lo = math.floor(a / SLICE_WIDTH)
-        k_hi = math.floor(b / SLICE_WIDTH)
-        if b == k_hi * SLICE_WIDTH:
-            k_hi -= 1  # slices are open at grid lines: nothing lives at b
-        return range(k_lo, k_hi + 1)
+    def _n_bands(self, level: int) -> int:
+        """How many bands, from the lowest, it takes to hold dst = level
+        (at least one, at most all)."""
+        return min(max(bisect.bisect_left(self._edges, level), 1),
+                   len(self._edges) - 1)
 
-    def iter_chunks(self, a: float, b: float, reverse: bool = False
+    def band_top(self, level: int) -> int:
+        """The highest dst a chunk read at max_dst = level holds."""
+        return self._edges[self._n_bands(level)]
+
+    def _chunk(self, n_bands: int, k: int, c0: float, c1: float):
+        """Events with c0 <= time <= c1 of the lowest n_bands bands, inside
+        slice k of the highest of them, in (time, src, dst) order; None
+        when empty."""
+        w = self._widths[n_bands - 1]
+        pieces = []
+        for b in range(n_bands):
+            # the grids nest: this band's slice holding slice k of the top
+            times, srcs, dsts = self._slice(b, k // int(self._widths[b] / w))
+            i0 = times.searchsorted(c0, side="left")
+            i1 = times.searchsorted(c1, side="right")
+            if i1 > i0:
+                pieces.append((times[i0:i1], srcs[i0:i1], dsts[i0:i1]))
+        if len(pieces) < 2:
+            return pieces[0] if pieces else None
+        times, srcs, dsts = (np.concatenate(x) for x in zip(*pieces))
+        # each piece is sorted: a stable sort merges the runs, and only
+        # tied times need the full (time, src, dst) key
+        order = times.argsort(kind="stable")
+        merged = times[order]
+        if (merged[1:] == merged[:-1]).any():
+            order = np.lexsort((dsts, srcs, times))
+            merged = times[order]
+        return merged, srcs[order], dsts[order]
+
+    def iter_chunks(self, a: float, b: float, reverse: bool = False,
+                    max_dst=None
                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Chunks of events with a <= time <= b, clipped to the window.
 
         Chunks arrive in ascending time order (descending when reverse);
-        each chunk is internally ascending.
+        each chunk is internally in (time, src, dst) order.  max_dst() is
+        read once at the start of each chunk, which then holds the events
+        in its time range with dst up to band_top(max_dst()); without
+        max_dst, chunks hold every event.  A chunk spans at most one slice
+        of the highest band it holds.
         """
         lo, hi = self.window
         a, b = max(a, lo), min(b, hi)
         if b < a:
             return
-        if self._fixed is not None:
-            times, srcs, dsts = self._fixed
-            i0 = int(np.searchsorted(times, a, side="left"))
-            i1 = int(np.searchsorted(times, b, side="right"))
-            if i1 > i0:
-                yield times[i0:i1], srcs[i0:i1], dsts[i0:i1]
-            return
-        ks = self._slice_indices(a, b)
-        for k in (reversed(ks) if reverse else ks):
-            times, srcs, dsts = self._slice(k)
-            if not times.size:
-                continue
-            if times[0] >= a and times[-1] <= b:
-                yield times, srcs, dsts
-                continue
-            i0 = int(np.searchsorted(times, a, side="left"))
-            i1 = int(np.searchsorted(times, b, side="right"))
-            if i1 > i0:
-                yield times[i0:i1], srcs[i0:i1], dsts[i0:i1]
+        cap = self.config.level_cap
+        pos = b if reverse else a
+        while True:
+            n_bands = self._n_bands(cap if max_dst is None else max_dst())
+            w = self._widths[n_bands - 1]
+            x = (pos - self._origin) / w
+            # backward from a grid line, the slice below it (nothing lives
+            # on a grid line)
+            k = math.ceil(x) - 1 if reverse else math.floor(x)
+            start = self._origin + k * w
+            if reverse:
+                chunk = self._chunk(n_bands, k, max(a, start), pos)
+            else:
+                chunk = self._chunk(n_bands, k, pos,
+                                    min(b, math.nextafter(start + w, -math.inf)))
+            if chunk is not None:
+                yield chunk
+            if reverse:
+                if start <= a:
+                    return
+                pos = math.nextafter(start, -math.inf)
+            else:
+                if start + w > b:
+                    return
+                pos = start + w
 
     # -- materialized views --------------------------------------------------
 

@@ -46,6 +46,15 @@ class TestTables:
         payload = json.loads((tmp_path / "table_pi.json").read_text())
         assert payload["rows"][0]["weight"] == "1/3"
 
+    def test_invalid_built_table_is_internal_error(self, tmp_path, capsys):
+        # P[Z = z] loses its precision in float64 by z = 15, and the table
+        # the package builds from it is rejected: a fault in the package,
+        # not in the request
+        code = run_cli(["tables", "--which", "Z", "--max-z", "15",
+                        "--out", str(tmp_path)])
+        assert code == cli.EXIT_INTERNAL == 4
+        assert "internal error" in capsys.readouterr().err
+
     def test_unknown_table_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(["tables", "--which", "nope"])
@@ -114,7 +123,8 @@ class TestSimulateLookdown:
         assert (a / "observables.csv").read_bytes() \
             == (b / "observables.csv").read_bytes()
 
-    def test_manifest_counts_warnings_and_cache_traffic(self, tmp_path):
+    def test_manifest_counts_warnings_and_cache_traffic(self, tmp_path,
+                                                         monkeypatch):
         base = ["simulate-lookdown", "--levels", "30", "--t-start", "0",
                 "--t-end", "8", "--seed", "3", "--no-events"]
         counts = {}
@@ -127,10 +137,30 @@ class TestSimulateLookdown:
             counts[burn_in] = entry["count"]
             assert (entry["first"] is None) == (entry["count"] == 0)
             metrics = manifest["metrics"]
-            assert metrics.keys() == {"slices_generated", "cache_hits",
-                                      "cache_evictions"}
+            assert metrics.keys() == {"slices_generated", "events_generated",
+                                      "cache_hits", "cache_evictions"}
             assert metrics["slices_generated"] > 0
+            assert metrics["events_generated"] > 0
         assert counts["20"] == 0 and counts["5"] > 0
+
+        # the slice cache holds a whole N=1000 grid run: no slice is
+        # evicted and generated again
+        from lookdown.engine.stream import EventStream
+        keys = []
+        real = EventStream._generate_slice
+
+        def recording(self, b, k):
+            keys.append((b, k))
+            return real(self, b, k)
+
+        monkeypatch.setattr(EventStream, "_generate_slice", recording)
+        out = tmp_path / "grid"
+        assert run_cli(["simulate-lookdown", "--levels", "1000",
+                        "--t-start", "0", "--t-end", "10", "--seed", "7",
+                        "--no-events", "--out", str(out)]) == 0
+        metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+        assert metrics["cache_evictions"] == 0
+        assert metrics["slices_generated"] == len(set(keys))
 
     def test_internal_fault_has_its_own_exit_code(self, tmp_path, capsys,
                                                   monkeypatch):

@@ -29,7 +29,6 @@ class TestConfig:
         cfg = engine.EngineConfig(level_cap=5, t_start=2.0, t_end=9.0,
                                   burn_in=3.0)
         assert cfg.window == (-1.0, 9.0)
-        assert cfg.n_pairs == 10
 
 
 class TestGeneration:
