@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, engine, laws, mutations, particles, verify, zlaw
+from . import __version__, engine, laws, particles, verify, zlaw
 from .errors import (InternalError, LookdownError, StationarityWarning,
                      ValidationError)
 from .seeding import rng_from
@@ -235,11 +235,7 @@ def _build_table(args):
     elif which == "pi":
         table = laws.pi_table(args.max_level, 3)
     elif which == "Tc":
-        mix = laws.pmf_Tc_mixture(args.max_level)
-        from .tables import table_from_pairs
-        table = table_from_pairs(
-            [(i, w) for w, i in mix.terms], tail_bound=mix.tail_bound,
-            name="Tc")
+        table = laws.pmf_Tc_mixture(args.max_level)
         extra = {"expected_Tc": laws.expected_Tc(),
                  "component": "value i labels the hypoexponential S_i^inf"}
     else:  # pragma: no cover - argparse restricts choices

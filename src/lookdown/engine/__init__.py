@@ -2,9 +2,8 @@
 
 from .genealogy import (CoalescentCurve, FixationCurve, MrcaObservables,
                         MrcaPointProcess, backward_level, coalescent_curve,
-                        export_curve_csv, export_points_csv,
-                        extract_fixation_curves, mrca_point_process,
-                        mrca_time, observables_at)
+                        export_points_csv, extract_fixation_curves,
+                        mrca_point_process, mrca_time, observables_at)
 from .stream import (EngineConfig, EventStream, LookdownEvent,
                      export_events_jsonl, generate_event_stream)
 
@@ -14,5 +13,4 @@ __all__ = [
     "MrcaObservables", "MrcaPointProcess", "backward_level",
     "coalescent_curve", "mrca_time", "extract_fixation_curves",
     "mrca_point_process", "observables_at", "export_points_csv",
-    "export_curve_csv",
 ]

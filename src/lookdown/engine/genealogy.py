@@ -9,9 +9,7 @@ C(k+1, 2) out of level k and exiting where they cross the level cap; their
 
 from __future__ import annotations
 
-import bisect
 import csv
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -310,11 +308,3 @@ def export_points_csv(points: MrcaPointProcess, path) -> None:
         for e, b in zip(points.establishment, points.living):
             writer.writerow([format(float(e), ".17g"), format(float(b), ".17g")])
 
-
-def export_curve_csv(curve: CoalescentCurve | FixationCurve, path) -> None:
-    """CSV "time,level" step-function knots."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "level"])
-        for s, v in curve.steps():
-            writer.writerow([format(float(s), ".17g"), v])

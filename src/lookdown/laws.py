@@ -3,16 +3,15 @@
 Everything here is exact where the formulas are rational: distributions of
 the fixation-curve level L, the joint (L, I), the nested I^k levels, the
 K chain coupling fixation and coalescent curves, the stationary particle
-law pi_Lambda, and the holding-time sums S_i^j of the block-counting death
-chain.  Floats enter only through zeta values and infinite-series tails.
+law pi_Lambda, the holding-time sums S_i^inf of the block-counting death
+chain and the pairwise coalescence time T_c.  Floats enter only through
+pi and infinite-series tails.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -144,9 +143,8 @@ def K_marginal_forward(j: int) -> dict[int, Fraction]:
     dist = {1: Fraction(1)}
     for jj in range(2, j):
         nxt: dict[int, Fraction] = {}
-        denom = comb2(jj + 1)
         for k, p in dist.items():
-            up = Fraction(comb2(k + 1), denom)
+            up = K_transition(jj, k)
             nxt[k + 1] = nxt.get(k + 1, Fraction(0)) + p * up
             nxt[k] = nxt.get(k, Fraction(0)) + p * (1 - up)
         dist = nxt
@@ -212,62 +210,12 @@ def pi_table(max_leading: int, max_count: int) -> PmfTable:
 # ---------------------------------------------------------------------------
 # Holding times of the block-counting chain
 
-@dataclass(frozen=True)
-class HoldingTimes:
-    """Parameters of T_k ~ Exp(C(k,2)), k >= 2, and the sums S_i^j.
-
-    S_i^j = sum_{k=i+1}^j T_k is the time Kingman's coalescent needs to come
-    down from j to i blocks; it is also the time a fixation curve needs to
-    be pushed from level i to level j.
-
-    The conditional variable R_{i,d} (the law of S_i^inf given
-    S_1^i + S_i^inf = d) has no constructive description; it is deliberately
-    not sampled here, and the corresponding conditional statements are
-    verified through their marginals and mixtures instead.
-    """
-
-    @staticmethod
-    def rate(k: int) -> int:
-        if k < 2:
-            raise DomainError("T_k is defined for k >= 2")
-        return comb2(k)
-
-    @staticmethod
-    def s_mean(i: int, j: int | None = None) -> Fraction:
-        """E[S_i^j] = 2/i - 2/j (j = None means infinity)."""
-        if i < 1 or (j is not None and j <= i):
-            raise DomainError("need 1 <= i < j")
-        mean = Fraction(2, i)
-        if j is not None:
-            mean -= Fraction(2, j)
-        return mean
-
-    @staticmethod
-    def s_var(i: int, j: int | None = None) -> float:
-        """Var[S_i^j] = sum_{k=i+1}^j (2/(k(k-1)))^2."""
-        if i < 1 or (j is not None and j <= i):
-            raise DomainError("need 1 <= i < j")
-        if j is not None:
-            ks = np.arange(i + 1, j + 1, dtype=np.float64)
-            return float(np.sum((2.0 / (ks * (ks - 1.0))) ** 2))
-        # exact rearrangement: 4*(2*sum_{m>i} 1/m^2 + 1/i^2 - 2/i)
-        tail2 = zeta(2) - float(sum(Fraction(1, m * m) for m in range(1, i + 1)))
-        return 4.0 * (2.0 * tail2 + 1.0 / i**2 - 2.0 / i)
-
-
-def moments_S(i: int) -> tuple[Fraction, float]:
-    """(mean, variance) of S_i^inf: mean exactly 2/i."""
-    return HoldingTimes.s_mean(i), HoldingTimes.s_var(i)
-
-
-def sample_S(i: int, rng: np.random.Generator) -> float:
-    """One draw of S_i^inf (exact terms to K*, tail added as its mean)."""
-    return float(sample_S_batch(np.asarray([i]), rng)[0])
-
-
 def sample_S_batch(start: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorized draws of S_{start[m]}^inf for an integer array of starts.
 
+    S_i^inf = sum_{k>i} T_k with T_k ~ Exp(C(k,2)), mean 2/i, is the time
+    Kingman's coalescent needs to come down from infinity to i blocks, and
+    the time a fixation curve at level i needs to climb to infinity.
     Each draw sums independent Exp(C(k,2)) for k = start+1 .. K* with the
     per-sample cutoff K* = max(512, start), then adds the truncated tail as
     its exact mean 2/K*.  The ignored tail fluctuation has variance
@@ -319,21 +267,15 @@ def expected_Tc_series(terms: int = 200_000) -> float:
     return float(partial + 0.5 * tail)  # midpoint of [partial, partial+tail]
 
 
-@dataclass(frozen=True)
-class TcMixture:
-    """P[T_c in dt] = sum_l weight(l) * P[S_{l+1}^inf in dt].
+def pmf_Tc_mixture(max_terms: int = 40) -> PmfTable:
+    """P[T_c in dt] = sum_l pmf_L(l) * P[S_{l+1}^inf in dt].
 
-    terms : (weight, i) pairs, the component being S_i^inf with i = l+1
-    tail_bound : mass of the truncated components
+    Value i labels the component S_i^inf (i = l+1) and carries its weight
+    pmf_L(l); tail_bound is the mass of the truncated components.
     """
-
-    terms: tuple[tuple[Fraction, int], ...]
-    tail_bound: float
-
-
-def pmf_Tc_mixture(max_terms: int = 40) -> TcMixture:
-    terms = tuple((pmf_L(l), l + 1) for l in range(1, max_terms + 1))
-    return TcMixture(terms, tail_bound=float(pmf_L_tail(max_terms)))
+    pairs = [(l + 1, pmf_L(l)) for l in range(1, max_terms + 1)]
+    return table_from_pairs(pairs, tail_bound=float(pmf_L_tail(max_terms)),
+                            name="Tc")
 
 
 def sample_Tc_batch(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -343,25 +285,7 @@ def sample_Tc_batch(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Riemann zeta (direct summation with Euler-Maclaurin tail correction)
-
-def zeta(j: int, terms: int = 256) -> float:
-    """zeta(j) for integer j >= 2, absolute error well below 1e-12.
-
-    Direct sum to `terms` plus the integral tail with the first two
-    Euler-Maclaurin corrections.
-    """
-    if j < 2:
-        raise DomainError("zeta(j) requires j >= 2")
-    n = np.arange(1, terms + 1, dtype=np.float64)
-    s = float(np.sum(n ** (-float(j))))
-    L = float(terms)
-    s += L ** (1 - j) / (j - 1)          # integral tail
-    s -= 0.5 * L ** (-j)                 # trapezoid correction
-    s += j / 12.0 * L ** (-j - 1)        # B_2 term
-    s -= j * (j + 1) * (j + 2) / 720.0 * L ** (-j - 3)  # B_4 term
-    return s
-
+# Even zeta values, exactly
 
 def _bernoulli_numbers(n_max: int) -> list[Fraction]:
     """B_0 .. B_n (B_1 = -1/2 convention) via the defining recurrence."""

@@ -11,7 +11,6 @@ they cluster (their counts over-disperse relative to Poisson).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,7 +19,6 @@ import numpy as np
 
 from .engine import MrcaPointProcess
 from .errors import ConfigurationError, SampleSizeError, ValidationError
-from .stats import count_dispersion
 
 
 @dataclass(frozen=True)
@@ -81,38 +79,3 @@ def substitution_mass_rate(events: Sequence[SubstitutionEvent],
     total = float(sum(ev.count for ev in events))
     return total / span, math.sqrt(max(total, 1.0)) / span
 
-
-def dispersion_of_substitution_times(events: Sequence[SubstitutionEvent] | np.ndarray,
-                                     window: float,
-                                     weighted: bool = True) -> float:
-    """Variance-to-mean ratio of substitution counts in disjoint windows of
-    the given width; > 1 signals clustering.
-
-    By default each event contributes its S substitutions (the batch that
-    fixed at that MRCA change): several mutations surfacing at one instant
-    is exactly the clustering the process exhibits, and the thinned event
-    times alone are in fact anti-clustered.  ``weighted=False`` counts
-    event times once each (Poisson inputs then give a ratio of 1, and the
-    ratio tends to 1 as the window shrinks).
-
-    Reported as a statistic, not a verdict: the clustering claim itself is
-    qualitative, and the acceptance suite picks its own significance band.
-    """
-    if len(events) < 100:
-        raise SampleSizeError("need >= 100 substitution events")
-    times = np.asarray([ev.time if isinstance(ev, SubstitutionEvent) else ev
-                        for ev in events], dtype=np.float64)
-    weights = None
-    if weighted:
-        weights = np.asarray([ev.count if isinstance(ev, SubstitutionEvent) else 1
-                              for ev in events], dtype=np.float64)
-    ratio, _ = count_dispersion(times, window, weights=weights)
-    return ratio
-
-
-def export_substitutions_csv(events: Sequence[SubstitutionEvent], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["E", "S"])
-        for ev in events:
-            writer.writerow([format(ev.time, ".17g"), ev.count])

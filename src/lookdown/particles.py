@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import laws, stats
+from . import stats
 from .errors import ConfigurationError, SampleSizeError
 from .laws import comb2
 from .seeding import rng_from
@@ -113,16 +113,16 @@ def _apply(levels: list[int], kind: str, k: int | None) -> None:
 class ParticleRunResult:
     """Output of ``simulate``.
 
+    exit_configs[m] is the configuration just after exit m (jump-back
+    applied), the state in which a new MRCA is established.
     exit_time_bias is the analytic per-exit truncation bias 2/cap (mean
-    residual climb time above the cap); when residual_tail was requested the
-    reported exit times already include a sampled correction and the bias
-    drops below 1e-8.
+    residual climb time above the cap).
     """
 
     config: ParticleSimConfig
     exits: np.ndarray
     trajectory: list[TransitionEvent] | None
-    exit_configs: list[tuple[int, ...]] | None
+    exit_configs: list[tuple[int, ...]]
     sample_times: np.ndarray | None
     sample_configs: list[tuple[int, ...]] | None
     final_levels: tuple[int, ...]
@@ -139,9 +139,7 @@ def _check_sorted(levels: list[int]) -> None:
 
 
 def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
-             sample_spacing: float | None = None,
-             collect_exit_configs: bool = False,
-             residual_tail: bool = False) -> ParticleRunResult:
+             sample_spacing: float | None = None) -> ParticleRunResult:
     """Run the system on [0, horizon] (preceded by burn_in), seed-determined.
 
     The fresh-start law is not specified by the theory; the default is the
@@ -155,7 +153,7 @@ def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
     levels: list[int] = list(config.init.levels)
     exits: list[float] = []
     trajectory: list[TransitionEvent] | None = [] if record_trajectory else None
-    exit_configs: list[tuple[int, ...]] | None = [] if collect_exit_configs else None
+    exit_configs: list[tuple[int, ...]] = []
     n_transitions = 0
 
     if sample_spacing is not None and sample_spacing <= 0:
@@ -231,67 +229,51 @@ def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
                         when, "push", 1, (l1 + m + 1, *levels[1:])))
 
         if reached_cap and exit_rel <= budget:
-            # leader reached the cap: exit + jump-back, atomically
+            # the solo climb carries the leader to the cap
             t += exit_rel
             n_transitions += cap - l1
-            levels = levels[1:]
-            if t >= 0.0:
-                exits.append(t)
-                if exit_configs is not None:
-                    exit_configs.append(tuple(levels))
-            emit(t, "exit", None)
-            _check_sorted(levels)
-            continue
-
-        if t_other > horizon - t:
+            levels[0] = cap
+        elif t_other > horizon - t:
             # horizon falls inside the climb
             n_transitions += int(np.searchsorted(cum, horizon - t, side="left"))
             t = horizon
             break
-
-        # an interacting transition interrupts the climb at t_other
-        n_climbed = int(np.searchsorted(cum, t_other, side="right"))
-        levels[0] = l1 + n_climbed
-        n_transitions += n_climbed + 1
-        t += t_other
-        z = len(levels)
-        u = rng.random() * c2
-        acc = 0.0
-        kind, kk = "arrival", None
-        for k in range(2, z + 1):
-            nxt = levels[k] if k < z else 1
-            acc += comb2(levels[k - 1] + 1) - comb2(nxt + 1)
-            if u < acc:
-                kind, kk = "push", k
-                break
-        _apply(levels, kind, kk)
+        else:
+            # an interacting transition interrupts the climb at t_other
+            n_climbed = int(np.searchsorted(cum, t_other, side="right"))
+            levels[0] = l1 + n_climbed
+            n_transitions += n_climbed + 1
+            t += t_other
+            z = len(levels)
+            u = rng.random() * c2
+            acc = 0.0
+            kind, kk = "arrival", None
+            for k in range(2, z + 1):
+                nxt = levels[k] if k < z else 1
+                acc += comb2(levels[k - 1] + 1) - comb2(nxt + 1)
+                if u < acc:
+                    kind, kk = "push", k
+                    break
+            _apply(levels, kind, kk)
         if levels[0] >= cap:
-            # the shared push carried the leader over the cap
+            # leader at the cap: exit + jump-back, atomically
             levels = levels[1:]
             if t >= 0.0:
                 exits.append(t)
-                if exit_configs is not None:
-                    exit_configs.append(tuple(levels))
+                exit_configs.append(tuple(levels))
             emit(t, "exit", None)
         else:
             emit(t, kind, kk)
         _check_sorted(levels)
 
-    exits_arr = np.asarray(exits, dtype=np.float64)
-    bias = 2.0 / cap
-    if residual_tail and exits_arr.size:
-        # de-bias reported exit epochs by the sampled climb time above the cap
-        tail_rng = rng_from(config.seed, "particles", "residual")
-        exits_arr = exits_arr + laws.sample_S_batch(
-            np.full(exits_arr.size, cap, dtype=np.int64), tail_rng)
-        bias = 0.0
     return ParticleRunResult(
-        config=config, exits=exits_arr, trajectory=trajectory,
+        config=config, exits=np.asarray(exits, dtype=np.float64),
+        trajectory=trajectory,
         exit_configs=exit_configs,
         sample_times=np.asarray(sample_times) if sample_spacing is not None else None,
         sample_configs=sample_configs if sample_spacing is not None else None,
         final_levels=tuple(levels), n_transitions=n_transitions,
-        exit_time_bias=bias)
+        exit_time_bias=2.0 / cap)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,9 @@ import scipy.special as sp
 import scipy.stats
 
 from .errors import (DegenerateBinningError, SampleSizeError, ValidationError)
-from .tables import INF, PmfTable, _InfiniteLevel, _key, table_from_pairs
+from .tables import PmfTable, _InfiniteLevel, _key, table_from_pairs
 
 ALPHA_DEFAULT = 0.001
-# two-sided tail mass of a 4-sigma normal band; moment tests pass iff
-# p_value > this, keeping the "pass <=> p > alpha" invariant
-ALPHA_4SIGMA = 2.0 * float(sp.ndtr(-4.0))
 
 
 @dataclass(frozen=True)
@@ -156,42 +153,6 @@ def chi_square_gof(empirical: PmfTable, exact: PmfTable,
                    bins=f"{len(obs)} cells (min_expected={min_expected})")
 
 
-def chi_square_two_sample(samples_a: Sequence, samples_b: Sequence,
-                          min_expected: float = 5.0,
-                          alpha: float = ALPHA_DEFAULT,
-                          name: str = "chi_square_2sample") -> GofReport:
-    """Homogeneity chi-square for two independent discrete samples."""
-    a, b = list(samples_a), list(samples_b)
-    na, nb = len(a), len(b)
-    if min(na, nb) < 2:
-        raise SampleSizeError("need at least two samples on each side")
-    keys: dict[Any, Any] = {}
-    ca: dict[Any, int] = {}
-    cb: dict[Any, int] = {}
-    for s in a:
-        k = _key(s); keys[k] = s; ca[k] = ca.get(k, 0) + 1
-    for s in b:
-        k = _key(s); keys[k] = s; cb[k] = cb.get(k, 0) + 1
-    labels = list(keys)
-    oa = np.asarray([ca.get(k, 0) for k in labels], dtype=float)
-    ob = np.asarray([cb.get(k, 0) for k in labels], dtype=float)
-    pooled = (oa + ob) / (na + nb)
-    # pool thin cells by the smaller expected count
-    thin = np.minimum(pooled * na, pooled * nb) < min_expected
-    if thin.any():
-        oa = np.append(oa[~thin], oa[thin].sum())
-        ob = np.append(ob[~thin], ob[thin].sum())
-        pooled = (oa + ob) / (na + nb)
-    if len(oa) < 2:
-        raise DegenerateBinningError("all mass pooled; nothing to test")
-    stat = float(np.sum((oa - pooled * na) ** 2 / (pooled * na))
-                 + np.sum((ob - pooled * nb) ** 2 / (pooled * nb)))
-    dof = len(oa) - 1
-    p = float(scipy.stats.chi2.sf(stat, dof))
-    return _report(name, stat, p, na + nb, alpha, dof=dof,
-                   bins=f"{len(oa)} cells")
-
-
 # ---------------------------------------------------------------------------
 # Kolmogorov-Smirnov against Exp(1)
 
@@ -295,17 +256,3 @@ def count_dispersion(times: Sequence[float], width: float,
         raise SampleSizeError("windows are empty")
     return float(counts.var(ddof=1) / mean), n_win
 
-
-def dispersion_band(times: Sequence[float], width: float,
-                    n_sigma: float = 4.0,
-                    name: str = "dispersion") -> GofReport:
-    """Index of dispersion against the Poisson value 1, +-n_sigma band.
-
-    Under Poisson counts, (ratio - 1) has standard error ~ sqrt(2/n_windows).
-    """
-    ratio, n_win = count_dispersion(times, width)
-    z = abs(ratio - 1.0) / math.sqrt(2.0 / n_win)
-    alpha = 2.0 * float(sp.ndtr(-n_sigma))
-    p = 2.0 * float(sp.ndtr(-z))
-    return _report(name, ratio, p, n_win, alpha,
-                   extra={"z": z, "n_windows": n_win})

@@ -7,16 +7,15 @@ combinations of even zeta values, so P[Z=0] = 1/3, P[Z=1] = 11/27,
 P[Z=2] = 107/243 - 2 pi^2/81, ... come out exactly, with floats only on
 final evaluation.
 
-Two independent routes are kept for everything the tests cross-check:
-x_k by direct series summation vs the closed form, p_z by recursion vs
-the partition-sum formula, and the pgf by the infinite product vs the
-weight series.
+Two independent routes are kept for everything the acceptance suite
+cross-checks: x_k by direct series summation vs the closed form, p_z by
+recursion vs the partition-sum formula, the pgf by the infinite product vs
+the weight series, and Var[Z] in closed form vs the series g''(1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -24,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError
-from .laws import zeta, zeta_even_pi_coeff
+from .laws import zeta_even_pi_coeff
 from .tables import PmfTable, table_from_pairs
 
 _PARTITION_CAP = 30  # p(30) = 5604 partitions; enumeration stays trivial
@@ -161,15 +160,6 @@ def x_k_closed(k: int) -> PiPoly:
     return sign * acc
 
 
-def x_k(k: int, method: str = "closed_form") -> float:
-    """sum_{l>=2} f(l)^k by the requested route."""
-    if method == "closed_form":
-        return float(x_k_closed(k))
-    if method == "series":
-        return x_k_series(k)
-    raise DomainError(f"unknown method {method!r}")
-
-
 # ---------------------------------------------------------------------------
 # p_z, two routes
 
@@ -220,14 +210,6 @@ def p_z_partition(z: int) -> PiPoly:
                            * x_k_closed(j) ** a)
         acc = acc + term
     return acc
-
-
-def p_z(z: int, method: str = "recursion") -> float:
-    if method == "recursion":
-        return float(p_z_recursive(z))
-    if method == "partition":
-        return float(p_z_partition(z))
-    raise DomainError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -297,34 +279,3 @@ def var_Z_series(terms: int = 1_000_000) -> float:
     s = float(np.sum(1.0 / (i * i * (i + 1.0) * (i + 1.0))))
     s += 1.0 / (3.0 * terms**3)  # integral tail
     return 1.0 - 4.0 * s
-
-
-@dataclass(frozen=True)
-class ZSeriesState:
-    """Materialized generating-function state for export and inspection."""
-
-    max_k: int
-    b: tuple[Fraction, ...]            # b_1 .. b_max_k
-    zeta_values: tuple[float, ...]     # zeta(2), zeta(3), ... zeta(max_k) (j >= 2)
-    x_values: tuple[float, ...]        # x_1 .. x_max_k
-    p_values: tuple[float, ...]        # p_0 .. p_max_k
-
-    def __post_init__(self):
-        if any(x <= 0 for x in self.x_values):
-            raise DomainError("x_k must be positive")
-        if any(a <= b for a, b in zip(self.x_values, self.x_values[1:])):
-            raise DomainError("x_k must be strictly decreasing")
-        if self.p_values[0] != 1.0:
-            raise DomainError("p_0 must be 1")
-        if any(p < 0 for p in self.p_values):
-            raise DomainError("p_z must be nonnegative")
-
-
-def build_z_state(max_k: int) -> ZSeriesState:
-    return ZSeriesState(
-        max_k=max_k,
-        b=tuple(b_constant(j) for j in range(1, max_k + 1)),
-        zeta_values=tuple(zeta(j) for j in range(2, max_k + 1)),
-        x_values=tuple(float(x_k_closed(k)) for k in range(1, max_k + 1)),
-        p_values=tuple(float(p_z_recursive(z)) for z in range(max_k + 1)),
-    )

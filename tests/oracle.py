@@ -13,16 +13,23 @@ curve through every event, the reference for ``_scan.curve_pass``.
 ``transition_rates`` and ``step`` move the fixation-curve particle system
 one transition at a time, the event-by-event law that ``particles.simulate``
 resolves in climb segments.
+
+``chi_square_two_sample`` compares two simulated samples with each other
+where neither side has an exact table to test against.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
+import scipy.stats
 
+from lookdown.errors import DegenerateBinningError, SampleSizeError
 from lookdown.laws import comb2
 from lookdown.particles import ParticleConfig, TransitionEvent
+from lookdown.stats import ALPHA_DEFAULT, GofReport, _report
+from lookdown.tables import _key
 
 
 def unit_step_scan(dsts, level: int, step: int,
@@ -108,6 +115,42 @@ def step(state: ParticleConfig,
         levels = [l + 1 for l in state.levels] + [2]
     new_state = ParticleConfig(tuple(levels))
     return new_state, TransitionEvent(dt, kind, k, new_state.levels)
+
+
+def chi_square_two_sample(samples_a: Sequence, samples_b: Sequence,
+                          min_expected: float = 5.0,
+                          alpha: float = ALPHA_DEFAULT,
+                          name: str = "chi_square_2sample") -> GofReport:
+    """Homogeneity chi-square for two independent discrete samples."""
+    a, b = list(samples_a), list(samples_b)
+    na, nb = len(a), len(b)
+    if min(na, nb) < 2:
+        raise SampleSizeError("need at least two samples on each side")
+    keys: dict[Any, Any] = {}
+    ca: dict[Any, int] = {}
+    cb: dict[Any, int] = {}
+    for s in a:
+        k = _key(s); keys[k] = s; ca[k] = ca.get(k, 0) + 1
+    for s in b:
+        k = _key(s); keys[k] = s; cb[k] = cb.get(k, 0) + 1
+    labels = list(keys)
+    oa = np.asarray([ca.get(k, 0) for k in labels], dtype=float)
+    ob = np.asarray([cb.get(k, 0) for k in labels], dtype=float)
+    pooled = (oa + ob) / (na + nb)
+    # pool thin cells by the smaller expected count
+    thin = np.minimum(pooled * na, pooled * nb) < min_expected
+    if thin.any():
+        oa = np.append(oa[~thin], oa[thin].sum())
+        ob = np.append(ob[~thin], ob[thin].sum())
+        pooled = (oa + ob) / (na + nb)
+    if len(oa) < 2:
+        raise DegenerateBinningError("all mass pooled; nothing to test")
+    stat = float(np.sum((oa - pooled * na) ** 2 / (pooled * na))
+                 + np.sum((ob - pooled * nb) ** 2 / (pooled * nb)))
+    dof = len(oa) - 1
+    p = float(scipy.stats.chi2.sf(stat, dof))
+    return _report(name, stat, p, na + nb, alpha, dof=dof,
+                   bins=f"{len(oa)} cells")
 
 
 class GraphOracle:

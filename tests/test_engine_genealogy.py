@@ -316,12 +316,3 @@ class TestObservables:
         st = _stream(20, 30.0, burn_in=10.0, seed=23)
         with pytest.warns(StationarityWarning):
             engine.observables_at(st, -5.0)
-
-    def test_curve_export(self, tmp_path):
-        st = _stream(20, 30.0, seed=24)
-        cur = engine.coalescent_curve(st, 10.0)
-        path = tmp_path / "curve.csv"
-        engine.export_curve_csv(cur, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "time,level"
-        assert len(lines) == len(cur.steps()) + 1

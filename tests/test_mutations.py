@@ -84,11 +84,19 @@ class TestSampleTc:
         assert 0.5 < draws.mean() < 0.66
 
 
+def _dispersion(events, window, weighted=True):
+    """Variance-to-mean ratio of substitution counts per window; weighted,
+    each event counts with its batch size."""
+    weights = [ev.count for ev in events] if weighted else None
+    return stats.count_dispersion([ev.time for ev in events], window,
+                                  weights=weights)[0]
+
+
 class TestDispersion:
     def test_poisson_input_near_one(self, rng):
         times = np.cumsum(rng.exponential(1.0, 30_000))
         events = [mutations.SubstitutionEvent(float(t), 1) for t in times]
-        ratio = mutations.dispersion_of_substitution_times(events, window=4.0)
+        ratio = _dispersion(events, window=4.0)
         n_win = int((times[-1] - times[0]) / 4.0)
         assert abs(ratio - 1.0) < 4 * math.sqrt(2.0 / n_win)
 
@@ -96,30 +104,18 @@ class TestDispersion:
         times = np.cumsum(rng.exponential(1.0, 20_000))
         events = [mutations.SubstitutionEvent(float(t), int(k))
                   for t, k in zip(times, rng.poisson(2.0, 20_000) + 1)]
-        ratio = mutations.dispersion_of_substitution_times(
-            events, window=0.02, weighted=False)
+        ratio = _dispersion(events, window=0.02, weighted=False)
         assert abs(ratio - 1.0) < 0.05
 
     def test_substitutions_cluster(self, rng):
         pp = _points(seed=54, t_end=4000.0)
         events = mutations.simulate_substitutions(
             pp, mutations.MutationConfig(theta=2.0), rng)
-        ratio = mutations.dispersion_of_substitution_times(events, window=5.0)
+        ratio = _dispersion(events, window=5.0)
         _, n_win = stats.count_dispersion([e.time for e in events], 5.0)
         assert ratio - 1.0 > 4 * math.sqrt(2.0 / n_win)
 
     def test_sample_size_guard(self):
         with pytest.raises(SampleSizeError):
-            mutations.dispersion_of_substitution_times(
-                [mutations.SubstitutionEvent(1.0, 1)] * 50, window=1.0)
+            _dispersion([mutations.SubstitutionEvent(1.0, 1)] * 50, window=1.0)
 
-
-def test_export_csv(tmp_path, rng):
-    pp = _points(seed=55, t_end=300.0)
-    events = mutations.simulate_substitutions(
-        pp, mutations.MutationConfig(theta=2.0), rng)
-    path = tmp_path / "subs.csv"
-    mutations.export_substitutions_csv(events, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "E,S"
-    assert len(lines) == len(events) + 1

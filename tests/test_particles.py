@@ -9,7 +9,7 @@ from lookdown import engine, laws, particles, stats
 from lookdown.errors import ConfigurationError, SampleSizeError
 from lookdown.seeding import rng_from
 
-from oracle import step, transition_rates
+from oracle import chi_square_two_sample, step, transition_rates
 
 
 class TestParticleConfig:
@@ -122,6 +122,17 @@ class TestSimulate:
             cur = list(ev.levels)
         assert n_exits == run.exits.size > 50
 
+    def test_exit_configs_match_trajectory_exit_rows(self):
+        # both exit paths (a solo climb to the cap, and a shared push or
+        # arrival that carries the leader over it) record the post-exit state
+        cfg = particles.ParticleSimConfig(particle_cap=60, horizon=300.0,
+                                          seed=10, burn_in=10.0)
+        run = particles.simulate(cfg, record_trajectory=True)
+        exit_rows = [ev for ev in run.trajectory if ev.kind == "exit"]
+        assert len(run.exit_configs) == run.exits.size > 50
+        assert run.exit_configs == [ev.levels for ev in exit_rows]
+        assert [ev.time for ev in exit_rows] == run.exits.tolist()
+
     def test_burn_in_discards_prefix(self):
         cfg = particles.ParticleSimConfig(particle_cap=100, horizon=30.0,
                                           seed=4, burn_in=10.0)
@@ -130,17 +141,6 @@ class TestSimulate:
         assert all(ev.time >= 0 for ev in run.trajectory)
         assert np.all(run.exits >= 0)
         assert np.all(np.asarray(run.sample_times) >= 0)
-
-    def test_residual_tail_mode(self):
-        cfg = particles.ParticleSimConfig(particle_cap=1_000, horizon=300.0,
-                                          seed=13)
-        plain = particles.simulate(cfg)
-        adj = particles.simulate(cfg, residual_tail=True)
-        assert plain.exit_time_bias == pytest.approx(2 / 1_000)
-        assert adj.exit_time_bias == 0.0
-        shift = adj.exits - plain.exits
-        assert np.all(shift > 0)
-        assert shift.mean() == pytest.approx(2 / 1_000, rel=0.3)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -178,7 +178,7 @@ class TestStationarySampler:
         draws = [c if (len(c) <= 3 and (not c or c[0] <= 8)) else "other"
                  for c in particles.sample_stationary_many(
                      rng_from(24, "pi"), len(occ))]
-        rep = stats.chi_square_two_sample(occ, draws)
+        rep = chi_square_two_sample(occ, draws)
         assert rep.passed
 
 
@@ -201,7 +201,7 @@ class TestExitStatistics:
     def test_post_exit_configs_in_equilibrium(self):
         cfg = particles.ParticleSimConfig(particle_cap=5_000, horizon=6_000.0,
                                           seed=32, burn_in=30.0)
-        run = particles.simulate(cfg, collect_exit_configs=True)
+        run = particles.simulate(cfg)
         cells = [c if (len(c) <= 3 and (not c or c[0] <= 8)) else "other"
                  for c in run.exit_configs]
         rep = stats.chi_square_gof(stats.empirical_pmf(cells),
@@ -231,5 +231,5 @@ class TestCouplingWithLookdown:
             l = l if l <= 8 else "L>8"
             z = len(levels) if len(levels) <= 3 else ">3"
             sampler_cells.append((l, z))
-        rep = stats.chi_square_two_sample(lookdown_cells, sampler_cells)
+        rep = chi_square_two_sample(lookdown_cells, sampler_cells)
         assert rep.passed

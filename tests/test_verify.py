@@ -35,6 +35,16 @@ def test_tampering_fails_named_check(monkeypatch):
     assert suite.results[0].name == "exact-constants"
 
 
+def test_constants_check_sees_a_shifted_moment(monkeypatch):
+    # Var[Z] is checked by its series route against 14 - 4 pi^2 / 3, so a
+    # shift of the series far below any sampling check fails criterion 1
+    real = zlaw.var_Z_series
+    monkeypatch.setattr(verify.zlaw, "var_Z_series", lambda: real() + 1e-6)
+    suite = verify.run_suite("quick", only=[1])
+    assert not suite.all_passed
+    assert suite.results[0].detail.startswith("worst |err| = 1.00e-06 at Var[Z]")
+
+
 def test_echo_lines(capsys):
     verify.run_suite("quick", only=[1], echo=print)
     out = capsys.readouterr().out

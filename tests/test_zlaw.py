@@ -43,19 +43,18 @@ class TestXk:
 
     def test_series_vs_closed_form(self):
         for k in range(1, 11):
-            assert abs(zlaw.x_k(k, "series")
-                       - zlaw.x_k(k, "closed_form")) < 1e-9
+            assert abs(zlaw.x_k_series(k) - float(zlaw.x_k_closed(k))) < 1e-9
 
     def test_positive_decreasing(self):
         xs = [float(zlaw.x_k_closed(k)) for k in range(1, 12)]
         assert all(x > 0 for x in xs)
         assert all(a > b for a, b in zip(xs, xs[1:]))
 
-    def test_domain_and_method(self):
+    def test_domain(self):
         with pytest.raises(DomainError):
-            zlaw.x_k(0)
+            zlaw.x_k_closed(0)
         with pytest.raises(DomainError):
-            zlaw.x_k(1, "guess")
+            zlaw.x_k_series(0)
 
 
 class TestPz:
@@ -64,7 +63,7 @@ class TestPz:
         assert zlaw.p_z_recursive(1).as_fraction() == Fraction(11, 18)
 
     def test_p2_reference(self):
-        assert zlaw.p_z(2) == pytest.approx(0.1474765, abs=5e-8)
+        assert float(zlaw.p_z_recursive(2)) == pytest.approx(0.1474765, abs=5e-8)
 
     def test_recursion_equals_partition_exactly(self):
         for z in range(16):
@@ -131,16 +130,3 @@ class TestPgf:
         assert var == pytest.approx(0.8405274652, abs=1e-9)
         assert var == pytest.approx(zlaw.var_Z_series(), abs=1e-9)
 
-
-class TestZSeriesState:
-    def test_build_and_invariants(self):
-        st_ = zlaw.build_z_state(10)
-        assert st_.b[0] == Fraction(11, 6)
-        assert st_.p_values[0] == 1.0
-        assert st_.x_values[0] == pytest.approx(11 / 18)
-        assert st_.zeta_values[0] == pytest.approx(math.pi**2 / 6)
-
-    def test_invariant_violations_rejected(self):
-        with pytest.raises(DomainError):
-            zlaw.ZSeriesState(max_k=2, b=(Fraction(1),), zeta_values=(1.6,),
-                              x_values=(0.1, 0.2), p_values=(1.0, 0.5, 0.1))
