@@ -42,12 +42,6 @@ class CoalescentCurve:
     level_cap: int
     truncated: bool
 
-    def value_at(self, s: float) -> int:
-        if s > self.reference_time:
-            raise WindowRangeError("curve is defined for s <= reference time")
-        return self.lowest_value + int(np.searchsorted(self.knot_times, s,
-                                                       side="right"))
-
     def steps(self) -> list[tuple[float, int]]:
         return [(float(s), self.lowest_value + 1 + m)
                 for m, s in enumerate(self.knot_times)]
@@ -128,13 +122,6 @@ class FixationCurve:
     path_levels: np.ndarray
     is_open: bool
 
-    def value_at(self, tau: float) -> int:
-        if tau < self.birth or (self.exit_time is not None
-                                and tau >= self.exit_time):
-            raise WindowRangeError("time outside [birth, exit)")
-        k = int(np.searchsorted(self.path_times, tau, side="right")) - 1
-        return int(self.path_levels[k])
-
     def steps(self) -> list[tuple[float, int]]:
         return [(float(s), int(v))
                 for s, v in zip(self.path_times, self.path_levels)]
@@ -160,10 +147,6 @@ class MrcaPointProcess:
                 raise LookdownError("E and B must be strictly increasing")
             if np.any(b >= e):
                 raise LookdownError("each B must precede its E")
-
-    @property
-    def pairs(self) -> np.ndarray:
-        return np.column_stack([self.establishment, self.living])
 
     def gaps(self) -> np.ndarray:
         return np.diff(self.establishment)

@@ -316,26 +316,9 @@ class EventStream:
                     return
                 pos = start + w
 
-    # -- materialized views --------------------------------------------------
+    # -- per-event view -----------------------------------------------------
 
-    def events_between(self, a: float, b: float):
-        chunks = list(self.iter_chunks(a, b))
-        if not chunks:
-            empty = np.empty(0)
-            return empty, empty.astype(np.int32), empty.astype(np.int32)
-        return (np.concatenate([c[0] for c in chunks]),
-                np.concatenate([c[1] for c in chunks]),
-                np.concatenate([c[2] for c in chunks]))
-
-    def events(self):
-        lo, hi = self.window
-        return self.events_between(lo, hi)
-
-    def iter_events(self, a: float | None = None,
-                    b: float | None = None) -> Iterator[LookdownEvent]:
-        lo, hi = self.window
-        a = lo if a is None else a
-        b = hi if b is None else b
+    def iter_events(self, a: float, b: float) -> Iterator[LookdownEvent]:
         for times, srcs, dsts in self.iter_chunks(a, b):
             for m in range(len(times)):
                 yield LookdownEvent(float(times[m]), int(srcs[m]), int(dsts[m]))

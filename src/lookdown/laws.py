@@ -257,9 +257,11 @@ def expected_Tc() -> float:
     return 2.0 * math.pi**2 / 3.0 - 6.0
 
 
-def expected_Tc_series(terms: int = 200_000) -> float:
-    """Independent route: sum of weight(l) * E[S_{l+1}^inf] plus an exact
-    telescoped tail; agrees with expected_Tc to ~1/terms^2."""
+def expected_Tc_series() -> float:
+    """Independent route: sum of weight(l) * E[S_{l+1}^inf] over the first
+    terms = 2*10^5 levels plus an exact telescoped tail; agrees with
+    expected_Tc to ~1/terms^2."""
+    terms = 200_000
     ls = np.arange(1, terms + 1, dtype=np.float64)
     partial = np.sum(4.0 / ((ls + 1.0) ** 2 * (ls + 2.0)))
     # tail sum_{l>T} 4/((l+1)^2(l+2)) < sum 4/(l+1)^3 < 2/(T+1)^2

@@ -9,12 +9,16 @@ infinity in finite time; with a finite cap M the exit is recorded when the
 leader reaches M, and the indices of the remaining particles shift down by
 one at that same instant (no observer sees an intermediate state).
 
-``simulate`` resolves each leading-particle ascent with a competing-risks
-decomposition: while only the leader can move "alone" its push times are
-drawn in vectorized chunks against one exponential clock carrying every
-other transition (total rate C(l2+1, 2), arrivals included).  This is
-law-identical to event-by-event stepping and keeps long runs cheap even
-with the default cap of 10^4.
+``simulate`` is one competing-risks loop that every state goes through,
+the empty one included.  ``_solo_climb`` draws the leader's solo pushes in
+vectorized chunks against one exponential clock carrying every other
+transition (total rate c2 = C(l2+1, 2), arrivals included; with no leader
+the climb is empty and c2 = 1).  A segment ends at that clock, at the
+climb's last push into the cap, or at the horizon; its grid samples read
+the leader off the climb, and one recorder writes its pushes and the
+transition that ends it.  This is law-identical to event-by-event stepping
+and keeps long runs cheap even with the default cap of 10^4.  A state out
+of order raises ``InternalError`` (exit status 4 from the CLI).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import stats
-from .errors import ConfigurationError, SampleSizeError
+from .errors import ConfigurationError, InternalError, SampleSizeError
 from .laws import comb2
 from .seeding import rng_from
 
@@ -52,10 +56,6 @@ class ParticleConfig:
             raise ConfigurationError(f"active levels must be >= 2: {self.levels}")
         if any(b >= a for a, b in zip(self.levels, self.levels[1:])):
             raise ConfigurationError(f"levels must strictly decrease: {self.levels}")
-
-    @property
-    def z(self) -> int:
-        return len(self.levels)
 
     @classmethod
     def empty(cls) -> "ParticleConfig":
@@ -97,18 +97,6 @@ class ParticleSimConfig:
             raise ConfigurationError("initial leader already beyond the cap")
 
 
-def _apply(levels: list[int], kind: str, k: int | None) -> None:
-    if kind == "push":
-        for m in range(k):
-            levels[m] += 1
-    elif kind == "arrival":
-        for m in range(len(levels)):
-            levels[m] += 1
-        levels.append(2)
-    else:
-        raise AssertionError(f"unknown kind {kind}")
-
-
 @dataclass
 class ParticleRunResult:
     """Output of ``simulate``.
@@ -130,12 +118,27 @@ class ParticleRunResult:
     exit_time_bias: float
 
 
-def _check_sorted(levels: list[int]) -> None:
-    for a, b in zip(levels, levels[1:]):
-        if b >= a:
-            raise AssertionError(f"ordering violated: {levels}")
-    if levels and levels[-1] < 2:
-        raise AssertionError(f"active level below 2: {levels}")
+def _solo_climb(rng: np.random.Generator, level: int, cap: int, c2: int,
+                budget: float) -> np.ndarray:
+    """Cumulative times, from now, of the leader's solo pushes out of
+    ``level``, ``level + 1``, ... (rate C(l+1, 2) - c2 out of level l).
+
+    Exponentials are drawn in chunks (64, then x8 up to 2^16) until the
+    climb passes ``budget`` or reaches ``cap``; empty when level >= cap.
+    """
+    cums: list[np.ndarray] = []
+    total = 0.0
+    chunk = 64
+    while level < cap and total <= budget:
+        hi = min(cap, level + chunk)
+        ls = np.arange(level, hi, dtype=np.float64)
+        rates = ls * (ls + 1.0) / 2.0 - c2
+        seg = total + np.cumsum(rng.standard_exponential(hi - level) / rates)
+        cums.append(seg)
+        total = float(seg[-1])
+        level = hi
+        chunk = min(chunk * 8, 1 << 16)
+    return np.concatenate(cums) if cums else np.empty(0)
 
 
 def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
@@ -146,125 +149,80 @@ def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
     empty configuration, with ``burn_in`` and/or a ``sample_stationary``
     init available for stationary statistics.
     """
+    if sample_spacing is not None and sample_spacing <= 0:
+        raise ConfigurationError("sample_spacing must be positive")
     rng = rng_from(config.seed, "particles")
     cap = config.particle_cap
     horizon = float(config.horizon)
     t = -float(config.burn_in)
     levels: list[int] = list(config.init.levels)
     exits: list[float] = []
-    trajectory: list[TransitionEvent] | None = [] if record_trajectory else None
     exit_configs: list[tuple[int, ...]] = []
-    n_transitions = 0
-
-    if sample_spacing is not None and sample_spacing <= 0:
-        raise ConfigurationError("sample_spacing must be positive")
+    trajectory: list[TransitionEvent] | None = [] if record_trajectory else None
     next_sample = sample_spacing if sample_spacing is not None else math.inf
     sample_times: list[float] = []
     sample_configs: list[tuple[int, ...]] = []
-
-    def emit(time: float, kind: str, k: int | None) -> None:
-        if trajectory is not None and time >= 0.0:
-            trajectory.append(TransitionEvent(time, kind, k, tuple(levels)))
-
-    def flush_static(until: float) -> None:
-        # record grid samples on [t, until) while the configuration is frozen
-        nonlocal next_sample
-        while next_sample < until:
-            sample_times.append(next_sample)
-            sample_configs.append(tuple(levels))
-            next_sample += sample_spacing
+    n_transitions = 0
 
     while t < horizon:
-        if not levels:
-            dt = float(rng.exponential(1.0))
-            flush_static(min(t + dt, horizon))
-            t += dt
-            if t >= horizon:
-                t = horizon
-                break
-            levels = [2]
-            n_transitions += 1
-            emit(t, "arrival", None)
-            continue
-
-        l1 = levels[0]
-        l2 = levels[1] if len(levels) > 1 else 1
-        c2 = comb2(l2 + 1)  # total rate of everything but solo-leader pushes
+        rest = levels[1:]
+        below = rest + [1]      # the level under each particle: l_2, ..., 1
+        for a, b in zip(levels, below):
+            if b >= a:
+                raise InternalError(f"particle order violated: {levels}")
+        l1 = levels[0] if levels else cap       # no leader: an empty climb
+        c2 = comb2(below[0] + 1)                # rate of all but solo pushes
         t_other = float(rng.exponential(1.0 / c2))
         budget = min(t_other, horizon - t)
+        cum = _solo_climb(rng, l1, cap, c2, budget)
+        n = int(np.searchsorted(cum, budget, side="right"))
+        solo_exit = bool(levels) and n == cap - l1
+        if solo_exit:
+            n -= 1      # the climb's last push is the transition that exits
+        dt = float(cum[-1]) if solo_exit else budget
 
-        # solo climb of the leader: push out of level l at C(l+1,2) - c2
-        cums: list[np.ndarray] = []
-        total_time = 0.0
-        lvl = l1
-        chunk = 64
-        while lvl < cap and total_time <= budget:
-            hi = min(cap, lvl + chunk)
-            ls = np.arange(lvl, hi, dtype=np.float64)
-            rates = ls * (ls + 1.0) / 2.0 - c2
-            seg = total_time + np.cumsum(rng.standard_exponential(hi - lvl) / rates)
-            cums.append(seg)
-            total_time = float(seg[-1])
-            lvl = hi
-            chunk = min(chunk * 8, 1 << 16)
-        cum = np.concatenate(cums) if cums else np.empty(0)
-        reached_cap = cum.size == cap - l1 and (cum.size == 0 or cum[-1] <= budget)
-        exit_rel = float(cum[-1]) if cum.size == cap - l1 else math.inf
-
-        seg_end_rel = min(exit_rel, budget)
-        # grid samples inside the climb segment see the interpolated leader
-        while next_sample < t + seg_end_rel:
-            rel = next_sample - t
-            lead = l1 + int(np.searchsorted(cum, rel, side="right"))
+        while next_sample < t + dt:
+            lead = l1 + int(np.searchsorted(cum, next_sample - t, side="right"))
             sample_times.append(next_sample)
-            sample_configs.append((lead, *levels[1:]))
+            sample_configs.append((lead, *rest) if levels else ())
             next_sample += sample_spacing
-        if trajectory is not None:
-            n_push = int(np.searchsorted(cum, seg_end_rel, side="left"))
-            stop = n_push if not (reached_cap and exit_rel <= budget) else cap - l1 - 1
-            for m in range(stop):
-                when = t + float(cum[m])
-                if when >= 0.0:
-                    trajectory.append(TransitionEvent(
-                        when, "push", 1, (l1 + m + 1, *levels[1:])))
-
-        if reached_cap and exit_rel <= budget:
-            # the solo climb carries the leader to the cap
-            t += exit_rel
-            n_transitions += cap - l1
-            levels[0] = cap
-        elif t_other > horizon - t:
-            # horizon falls inside the climb
-            n_transitions += int(np.searchsorted(cum, horizon - t, side="left"))
+        start = t
+        n_transitions += n
+        if n:
+            levels[0] += n
+        at_horizon = not solo_exit and t_other > budget
+        if at_horizon:
             t = horizon
-            break
         else:
-            # an interacting transition interrupts the climb at t_other
-            n_climbed = int(np.searchsorted(cum, t_other, side="right"))
-            levels[0] = l1 + n_climbed
-            n_transitions += n_climbed + 1
-            t += t_other
-            z = len(levels)
-            u = rng.random() * c2
-            acc = 0.0
-            kind, kk = "arrival", None
-            for k in range(2, z + 1):
-                nxt = levels[k] if k < z else 1
-                acc += comb2(levels[k - 1] + 1) - comb2(nxt + 1)
-                if u < acc:
-                    kind, kk = "push", k
-                    break
-            _apply(levels, kind, kk)
-        if levels[0] >= cap:
-            # leader at the cap: exit + jump-back, atomically
-            levels = levels[1:]
-            if t >= 0.0:
-                exits.append(t)
-                exit_configs.append(tuple(levels))
-            emit(t, "exit", None)
-        else:
-            emit(t, kind, kk)
-        _check_sorted(levels)
+            t += dt
+            n_transitions += 1
+            kind, k = ("push", 1) if solo_exit else ("arrival", None)
+            if levels and not solo_exit:
+                # pushes of 1..j, j >= 2, at C(l_j+1, 2) - C(l_{j+1}+1, 2):
+                # the rates telescope from c2, and an arrival takes the last 1
+                u = rng.random() * c2
+                for j, l_next in enumerate(below[1:], start=2):
+                    if u < c2 - comb2(l_next + 1):
+                        kind, k = "push", j
+                        break
+            for m in range(len(levels) if k is None else k):
+                levels[m] += 1
+            if k is None:
+                levels.append(2)
+            if levels[0] >= cap:
+                # leader at the cap: exit + jump-back, atomically
+                del levels[0]
+                kind, k = "exit", None
+                if t >= 0.0:
+                    exits.append(t)
+                    exit_configs.append(tuple(levels))
+        if trajectory is not None:
+            rows = [(start + float(cum[m]), "push", 1, (l1 + m + 1, *rest))
+                    for m in range(n)]
+            if not at_horizon:
+                rows.append((t, kind, k, tuple(levels)))
+            trajectory.extend(TransitionEvent(*row) for row in rows
+                              if row[0] >= 0.0)
 
     return ParticleRunResult(
         config=config, exits=np.asarray(exits, dtype=np.float64),

@@ -63,7 +63,7 @@ def _report(name, statistic, p_value, n, alpha, dof=None, bins="", extra=None):
 # ---------------------------------------------------------------------------
 # Empirical pmfs
 
-def empirical_pmf(samples: Sequence, name: str = "empirical") -> PmfTable:
+def empirical_pmf(samples: Sequence) -> PmfTable:
     """Relative frequencies as exact fractions; INF kept as its own cell."""
     items = list(samples)
     if not items:
@@ -86,7 +86,7 @@ def empirical_pmf(samples: Sequence, name: str = "empirical") -> PmfTable:
 
     pairs = [(values[k], Fraction(counts[k], n))
              for k in sorted(counts, key=sort_key)]
-    return table_from_pairs(pairs, tail_bound=0.0, n=n, name=name)
+    return table_from_pairs(pairs, tail_bound=0.0, n=n, name="empirical")
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +181,11 @@ def ks_test_exp1(samples: Sequence[float], alpha: float = ALPHA_DEFAULT,
 # Moment bands
 
 def moment_band(samples: Sequence[float], target_mean: float,
-                target_var: float | None = None, n_sigma: float = 4.0,
                 name: str = "moment_band") -> GofReport:
-    """4-sigma band test for the mean (and optionally the variance).
+    """4-sigma band test for the mean.
 
-    The variance band uses the fourth-moment standard error of s^2.
-    Reported p-value is the two-sided normal tail of the worst z-score,
-    so pass <=> p > 2*Phi(-n_sigma).
+    Reported p-value is the two-sided normal tail of the z-score, so
+    pass <=> p > 2*Phi(-4).
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.size < 100:
@@ -198,18 +196,10 @@ def moment_band(samples: Sequence[float], target_mean: float,
         z_mean = math.inf if x[0] != target_mean else 0.0
     else:
         z_mean = abs(float(x.mean()) - target_mean) / (sd / math.sqrt(n))
-    worst = z_mean
     extra = {"mean": float(x.mean()), "z_mean": z_mean}
-    if target_var is not None:
-        s2 = sd**2
-        m4 = float(np.mean((x - x.mean()) ** 4))
-        se_var = math.sqrt(max(m4 - s2**2, 0.0) / n)
-        z_var = abs(s2 - target_var) / se_var if se_var > 0 else math.inf
-        worst = max(worst, z_var)
-        extra.update({"var": s2, "z_var": z_var})
-    alpha = 2.0 * float(sp.ndtr(-n_sigma))
-    p = 2.0 * float(sp.ndtr(-worst)) if math.isfinite(worst) else 0.0
-    return _report(name, worst, p, n, alpha, extra=extra)
+    alpha = 2.0 * float(sp.ndtr(-4.0))
+    p = 2.0 * float(sp.ndtr(-z_mean)) if math.isfinite(z_mean) else 0.0
+    return _report(name, z_mean, p, n, alpha, extra=extra)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,14 @@ from .seeding import child_seed, rng_from
 
 DEFAULT_SEED = 20260809
 ALPHA = 0.001
+# grid spacing of the occupation samples of criteria 3 and 5
+SAMPLE_SPACING = 5.0
 
 PROFILES = {
     "full": dict(
-        c3_draws=100_000, c3_horizon=200_000.0, c3_spacing=5.0,
+        c3_draws=100_000, c3_horizon=200_000.0,
         c4_horizon=11_000.0,
-        c5_samples=10_000, c5_spacing=5.0,
+        c5_samples=10_000,
         c6_n=5_000, c6_levels=1_000,
         c7_horizon=22_000.0, c7_min_bin=300, c7_skip_small=False,
         c8_draws=100_000,
@@ -37,9 +39,9 @@ PROFILES = {
         c11_horizon=13_000.0,
     ),
     "quick": dict(
-        c3_draws=20_000, c3_horizon=8_000.0, c3_spacing=5.0,
+        c3_draws=20_000, c3_horizon=8_000.0,
         c4_horizon=1_500.0,
-        c5_samples=1_500, c5_spacing=5.0,
+        c5_samples=1_500,
         c6_n=500, c6_levels=300,
         c7_horizon=3_000.0, c7_min_bin=50, c7_skip_small=True,
         c8_draws=20_000,
@@ -132,8 +134,9 @@ def check_dual_methods(p: dict, seed: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 # criterion 3: particle-system equilibrium
 
-def _config_cell(levels, max_leading=10, max_count=3):
-    if len(levels) <= max_count and (not levels or levels[0] <= max_leading):
+def _config_cell(levels):
+    # the cells of pi_table(10, 3), and "other" for the rest
+    if len(levels) <= 3 and (not levels or levels[0] <= 10):
         return tuple(levels)
     return "other"
 
@@ -149,7 +152,7 @@ def check_particle_equilibrium(p: dict, seed: int) -> CheckResult:
     cfg = particles.ParticleSimConfig(
         particle_cap=10_000, horizon=p["c3_horizon"],
         seed=child_seed(seed, "c3", "sim"), burn_in=50.0)
-    run = particles.simulate(cfg, sample_spacing=p["c3_spacing"])
+    run = particles.simulate(cfg, sample_spacing=SAMPLE_SPACING)
     occ = [_config_cell(c) for c in run.sample_configs]
     rep2 = stats.chi_square_gof(stats.empirical_pmf(occ), exact,
                                 alpha=ALPHA, name="occupation_vs_pi")
@@ -188,11 +191,11 @@ def check_poisson_exits(p: dict, seed: int) -> CheckResult:
 # criterion 5: Z law by simulation
 
 def check_z_by_simulation(p: dict, seed: int) -> CheckResult:
-    horizon = p["c5_samples"] * p["c5_spacing"]
+    horizon = p["c5_samples"] * SAMPLE_SPACING
     cfg = particles.ParticleSimConfig(
         particle_cap=10_000, horizon=horizon,
         seed=child_seed(seed, "c5"), burn_in=50.0)
-    run = particles.simulate(cfg, sample_spacing=p["c5_spacing"])
+    run = particles.simulate(cfg, sample_spacing=SAMPLE_SPACING)
     zs = [len(c) for c in run.sample_configs]
     rep = stats.chi_square_gof(stats.empirical_pmf(zs), zlaw.pmf_Z_table(6),
                                alpha=ALPHA, name="Z_vs_pmf_Z")

@@ -120,11 +120,11 @@ def b_constant(j: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # x_k = sum_{l>=2} f(l)^k, two routes
 
-def x_k_series(k: int, tol: float = 1e-12) -> float:
+def x_k_series(k: int) -> float:
     """Direct summation of sum f(l)^k with an analytic tail.
 
     k = 1: the tail telescopes exactly, (1/3)(1/L + 1/(L+1) + 1/(L+2)).
-    k >= 2: summed until the integral bound (L-1)^(1-2k)/(2k-1) < tol.
+    k >= 2: summed until the integral bound (L-1)^(1-2k)/(2k-1) < 1e-12.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -135,7 +135,7 @@ def x_k_series(k: int, tol: float = 1e-12) -> float:
         tail = (1.0 / L + 1.0 / (L + 1) + 1.0 / (L + 2)) / 3.0
         return partial + tail
     L = 2
-    while (L - 1.0) ** (1 - 2 * k) / (2 * k - 1) >= tol:
+    while (L - 1.0) ** (1 - 2 * k) / (2 * k - 1) >= 1e-12:
         L *= 2
     ls = np.arange(2, L + 1, dtype=np.float64)
     return float(np.sum((1.0 / ((ls + 2.0) * (ls - 1.0))) ** k))
@@ -235,14 +235,15 @@ def pmf_Z_table(max_z: int) -> PmfTable:
     return table_from_pairs(pairs, tail_bound=max(tail, 0.0), name="Z")
 
 
-def _pgf_log_sum(u: float, terms: int = 20_000) -> float:
+def _pgf_log_sum(u: float) -> float:
     """sum_{i>=2} log((i(i+1) + 2(u-1)) / ((i+2)(i-1))).
 
     Since (i+2)(i-1) = i(i+1) - 2, each term is log1p(c f(i)) with c = 2u;
-    summed directly to `terms`, then the linear part of the tail is added
-    through the exact telescoped sum of f.  The neglected curvature is
-    below c^2/(6 terms^3) < 1e-12.
+    summed directly to terms = 20000, then the linear part of the tail is
+    added through the exact telescoped sum of f.  The neglected curvature
+    is below c^2/(6 terms^3) < 1e-12.
     """
+    terms = 20_000
     c = 2.0 * u
     i = np.arange(2, terms + 1, dtype=np.float64)
     f = 1.0 / ((i + 2.0) * (i - 1.0))
@@ -263,9 +264,9 @@ def pgf_Z(u: float) -> float:
     return _pgf_unchecked(u)
 
 
-def pgf_Z_series(u: float, max_z: int = 40) -> float:
-    """Cross-check route: sum of pmf_Z(z) u^z truncated at max_z."""
-    return float(sum(pmf_Z(z) * u**z for z in range(max_z + 1)))
+def pgf_Z_series(u: float) -> float:
+    """Cross-check route: sum of pmf_Z(z) u^z truncated at z = 40."""
+    return float(sum(pmf_Z(z) * u**z for z in range(41)))
 
 
 def mean_var_Z() -> tuple[float, float]:
@@ -273,8 +274,9 @@ def mean_var_Z() -> tuple[float, float]:
     return 1.0, 14.0 - 4.0 * math.pi**2 / 3.0
 
 
-def var_Z_series(terms: int = 1_000_000) -> float:
+def var_Z_series() -> float:
     """Independent route: Var[Z] = g''(1) = 1 - 4 sum_{i>=2} 1/(i^2 (i+1)^2)."""
+    terms = 1_000_000
     i = np.arange(2, terms + 1, dtype=np.float64)
     s = float(np.sum(1.0 / (i * i * (i + 1.0) * (i + 1.0))))
     s += 1.0 / (3.0 * terms**3)  # integral tail

@@ -10,6 +10,10 @@ event at a time, the reference for ``_scan.unit_step_block`` and
 ``_scan.unit_step_hits``; ``curve_pass_per_event`` walks every fixation
 curve through every event, the reference for ``_scan.curve_pass``.
 
+``events_between``, ``window_events`` and ``curve_value`` read an engine
+stream's events as arrays and an engine ``CoalescentCurve`` at one time,
+for tests that compare them with the oracles.
+
 ``transition_rates`` and ``step`` move the fixation-curve particle system
 one transition at a time, the event-by-event law that ``particles.simulate``
 resolves in climb segments.
@@ -75,6 +79,27 @@ def curve_pass_per_event(events, level_cap: int):
             alive.append([len(births), 2])
             births.append(tau)
     return births, exit_times, exit_ids, [c[0] for c in alive], paths
+
+
+def events_between(stream, a: float, b: float):
+    """(times, srcs, dsts) of the stream's events with a <= time <= b."""
+    chunks = list(stream.iter_chunks(a, b))
+    if not chunks:
+        empty = np.empty(0)
+        return empty, empty.astype(np.int32), empty.astype(np.int32)
+    return tuple(np.concatenate([c[m] for c in chunks]) for m in range(3))
+
+
+def window_events(stream):
+    """(times, srcs, dsts) of every event in the stream's window."""
+    return events_between(stream, *stream.window)
+
+
+def curve_value(curve, s: float) -> int:
+    """C_s^t of a ``CoalescentCurve``: its lowest value plus the knots at or
+    before s."""
+    return curve.lowest_value + int(np.searchsorted(curve.knot_times, s,
+                                                    side="right"))
 
 
 def transition_rates(levels: Sequence[int]) -> list[tuple[str, int | None, int]]:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lookdown import cli
+from lookdown import cli, particles
 
 
 def run_cli(args, **kw):
@@ -95,6 +95,20 @@ class TestSimulateParticles:
         assert code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["init"] == "stationary"
+
+    def test_broken_invariant_is_internal_error(self, tmp_path, capsys,
+                                                monkeypatch):
+        def out_of_order(rng):
+            init = particles.ParticleConfig((5, 3, 2))
+            object.__setattr__(init, "levels", (3, 3, 3))
+            return init
+
+        monkeypatch.setattr(particles, "sample_stationary", out_of_order)
+        code = run_cli(["simulate-particles", "--horizon", "20",
+                        "--cap", "50", "--seed", "1", "--init", "stationary",
+                        "--out", str(tmp_path)])
+        assert code == cli.EXIT_INTERNAL == 4
+        assert "internal error" in capsys.readouterr().err
 
 
 class TestSimulateLookdown:

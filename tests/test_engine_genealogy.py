@@ -10,7 +10,7 @@ from lookdown.errors import (InsufficientWindowError, StationarityWarning,
 from lookdown.seeding import child_seed
 from lookdown.tables import INF
 
-from oracle import GraphOracle
+from oracle import GraphOracle, curve_value, events_between, window_events
 
 
 def _stream(level_cap, t_end, burn_in=15.0, seed=0):
@@ -21,7 +21,7 @@ def _stream(level_cap, t_end, burn_in=15.0, seed=0):
 
 def _p12_times(st, a, b):
     """Times of the (1, 2) events with a <= time <= b."""
-    t, _, d = st.events_between(a, b)
+    t, _, d = events_between(st, a, b)
     return t[d == 2]
 
 
@@ -45,7 +45,7 @@ class TestBackwardLevelAgainstOracle:
     def test_random_streams_match_graph_replay(self):
         for seed in range(6):
             st = _stream(7, 12.0, burn_in=0.0, seed=seed)
-            t, s, d = st.events()
+            t, s, d = window_events(st)
             oracle = GraphOracle(7, 0.0, zip(t, s, d))
             rng = np.random.default_rng(seed)
             for _ in range(40):
@@ -58,7 +58,7 @@ class TestBackwardLevelAgainstOracle:
     def test_ordering_by_persistence(self):
         # forward images keep their order: Y_s^t(i) < Y_s^t(j) for i < j
         st = _stream(12, 10.0, burn_in=0.0, seed=3)
-        t, s, d = st.events()
+        t, s, d = window_events(st)
         oracle = GraphOracle(12, 0.0, zip(t, s, d))
         for s0 in (1.0, 3.0):
             for tt in (5.0, 8.0):
@@ -92,25 +92,25 @@ class TestCoalescentCurve:
     def test_starts_at_cap_and_steps_down_by_one(self):
         st = _stream(40, 10.0, seed=4)
         cur = engine.coalescent_curve(st, 5.0)
-        assert cur.value_at(5.0) == 40
+        assert curve_value(cur, 5.0) == 40
         vals = [v for _, v in cur.steps()]
         assert vals == list(range(2, 41))
         assert not cur.truncated
 
     def test_matches_oracle_block_counts(self):
         st = _stream(6, 8.0, burn_in=0.0, seed=5)
-        t, s, d = st.events()
+        t, s, d = window_events(st)
         oracle = GraphOracle(6, 0.0, zip(t, s, d))
         cur = engine.coalescent_curve(st, 7.0, s_min=1.0)
         for ss in np.linspace(1.0, 7.0, 23):
             expect = oracle.block_count(7.0, float(ss))
             assert oracle.max_ancestor_level(7.0, float(ss)) == expect
-            assert cur.value_at(float(ss)) == expect
+            assert curve_value(cur, float(ss)) == expect
 
     def test_jump_times_are_qualifying_events(self):
         st = _stream(15, 10.0, seed=6)
         cur = engine.coalescent_curve(st, 9.0)
-        t, s, d = st.events_between(*st.window)
+        t, s, d = window_events(st)
         times = set(t.tolist())
         for knot, value in cur.steps():
             assert knot in times

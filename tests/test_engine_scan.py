@@ -12,7 +12,8 @@ from lookdown.engine import _scan, genealogy
 from lookdown.engine import stream as stream_module
 from lookdown.errors import LookdownError
 
-from oracle import GraphOracle, curve_pass_per_event, unit_step_scan
+from oracle import (GraphOracle, curve_pass_per_event, curve_value,
+                    events_between, unit_step_scan, window_events)
 
 CAP = 12
 
@@ -115,7 +116,7 @@ class TestUnitStepHits:
     def test_backward_truncates_at_one_block(self, small_blocks, small_bands,
                                              dsts):
         stream = _fixed_stream(dsts)
-        times = stream.events()[0][::-1]
+        times = window_events(stream)[0][::-1]
         want = unit_step_scan(dsts[::-1], CAP, -1, CAP - 1)
         got = _unit_step_run(stream, CAP, -1, CAP - 1, reverse=True)
         assert list(got) == list(times[want])
@@ -131,7 +132,7 @@ class TestUnitStepHits:
     def test_forward_stops_at_the_kill(self, small_blocks, small_bands, dsts,
                                        level0):
         stream = _fixed_stream(dsts)
-        times = stream.events()[0]
+        times = window_events(stream)[0]
         limit = CAP - level0 + 1
         want = unit_step_scan(dsts, level0, 1, limit)
         end = stream.window[1]
@@ -148,7 +149,7 @@ class TestUnitStepHits:
         cfg = engine.EngineConfig(level_cap=60, t_start=0.0, t_end=3.0,
                                   burn_in=5.0, seed=seed)
         stream = engine.generate_event_stream(cfg)
-        times, _, dsts = stream.events()
+        times, _, dsts = window_events(stream)
         want = unit_step_scan(dsts[::-1], 60, -1, 59)
         drops = _scan.backward_drops(stream, 3.0)
         assert np.array_equal(drops[0], times[::-1][want])
@@ -174,7 +175,7 @@ class TestCurvePassAgainstPerEventLoop:
     def test_matches_per_event_loop(self, small_blocks, small_bands, events):
         stream = _small_stream(events)
         births, exits, exit_ids, open_ids, paths = curve_pass_per_event(
-            zip(*(x.tolist() for x in stream.events())), SMALL_CAP)
+            zip(*(x.tolist() for x in window_events(stream))), SMALL_CAP)
         for record_paths in (False, True):
             res = _scan.curve_pass(stream, *stream.window,
                                    record_paths=record_paths)
@@ -195,7 +196,7 @@ class TestTraceAgainstGraphReplay:
                                                  k1, k2, j):
         stream = _small_stream(events)
         t, s = 0.25 * max(k1, k2), 0.25 * min(k1, k2)
-        oracle = GraphOracle(SMALL_CAP, 0.0, zip(*stream.events()))
+        oracle = GraphOracle(SMALL_CAP, 0.0, zip(*window_events(stream)))
         assert engine.backward_level(stream, t, j, s) == \
             oracle.backward_level(t, j, s)
 
@@ -216,7 +217,7 @@ class TestBandedChunks:
             got = [e for c in (chunks[::-1] if reverse else chunks)
                    for e in zip(*(x.tolist() for x in c))]
             assert got == want
-        assert list(zip(*(x.tolist() for x in stream.events()))) == \
+        assert list(zip(*(x.tolist() for x in window_events(stream)))) == \
             sorted(set(events))
 
     @settings(max_examples=300, deadline=None, suppress_health_check=fixture_ok)
@@ -266,11 +267,12 @@ def test_banded_scans_match_one_band_scans(cap, seed, monkeypatch):
     banded = engine.generate_event_stream(cfg)
     with monkeypatch.context() as m:
         m.setattr(stream_module, "FIRST_BAND_TOP", cap)
-        one_band = engine.EventStream(cfg, _fixed=banded.events())
+        one_band = engine.EventStream(cfg, _fixed=window_events(banded))
     assert len(one_band._edges) == 2 < len(banded._edges)
     grid = [float(t) for t in np.linspace(2.0, 0.0, 9)]
     pp = [engine.mrca_point_process(x) for x in (banded, one_band)]
-    assert np.array_equal(pp[0].pairs, pp[1].pairs)
+    assert np.array_equal(pp[0].establishment, pp[1].establishment)
+    assert np.array_equal(pp[0].living, pp[1].living)
     assert pp[0].n_open == pp[1].n_open
     curves = [[(c.birth, c.exit_time, c.steps())
                for c in engine.extract_fixation_curves(x, window=(-5.0, 2.0))]
@@ -407,9 +409,9 @@ def test_z_and_b_from_the_births_after_the_mrca(seed):
     stream = engine.generate_event_stream(cfg)
     for t in np.linspace(0.0, 12.0, 31):
         o = engine.observables_at(stream, float(t))
-        times, _, dsts = stream.events_between(o.mrca_time, float(t))
+        times, _, dsts = events_between(stream, o.mrca_time, float(t))
         births = times[(dsts == 2) & (times > o.mrca_time)]
         assert o.curve_count == births.size
         if births.size:
             curve = engine.coalescent_curve(stream, float(t))
-            assert o.coalescent_level == curve.value_at(float(births[0]))
+            assert o.coalescent_level == curve_value(curve, float(births[0]))

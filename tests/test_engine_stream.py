@@ -9,6 +9,8 @@ from lookdown import engine
 from lookdown.errors import ConfigurationError, WindowRangeError
 from lookdown.seeding import rng_from
 
+from oracle import events_between, window_events
+
 
 def _stream(level_cap=3, t_start=0.0, t_end=100.0, burn_in=0.0, seed=42):
     return engine.generate_event_stream(engine.EngineConfig(
@@ -34,44 +36,44 @@ class TestConfig:
 class TestGeneration:
     def test_mean_count_three_pairs(self):
         # three pairs at rate one each over T=100
-        t, s, d = _stream().events()
+        t, s, d = window_events(_stream())
         assert abs(len(t) - 300) < 4 * math.sqrt(300)
 
     def test_event_validity(self):
-        t, s, d = _stream(level_cap=6, seed=7).events()
+        t, s, d = window_events(_stream(level_cap=6, seed=7))
         assert np.all(np.diff(t) > 0)
         assert np.all((1 <= s) & (s < d) & (d <= 6))
 
     def test_determinism_bit_identical(self):
-        a = _stream(seed=9).events()
-        b = _stream(seed=9).events()
+        a = window_events(_stream(seed=9))
+        b = window_events(_stream(seed=9))
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_seed_changes_stream(self):
-        a = _stream(seed=1).events()
-        b = _stream(seed=2).events()
+        a = window_events(_stream(seed=1))
+        b = window_events(_stream(seed=2))
         assert len(a[0]) != len(b[0]) or not np.array_equal(a[0], b[0])
 
     def test_restriction_consistency(self):
         st = _stream(level_cap=10, seed=5)
-        whole = st.events_between(10.0, 30.0)
-        left = st.events_between(10.0, 20.0)
-        right = st.events_between(20.0, 30.0)
+        whole = events_between(st, 10.0, 30.0)
+        left = events_between(st, 10.0, 20.0)
+        right = events_between(st, 20.0, 30.0)
         assert np.array_equal(np.concatenate([left[0], right[0]]), whole[0])
 
     def test_window_extension_preserves_events(self):
         # same seed, larger window: the restriction is unchanged
         small = _stream(level_cap=8, t_start=0, t_end=50, seed=11)
         big = _stream(level_cap=8, t_start=0, t_end=90, burn_in=10, seed=11)
-        a = small.events_between(5.0, 45.0)
-        b = big.events_between(5.0, 45.0)
+        a = events_between(small, 5.0, 45.0)
+        b = events_between(big, 5.0, 45.0)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_per_pair_poisson_counts(self):
         # N=100, T=10: >= 99% of pairs within 4*sqrt(10) of 10
-        t, s, d = _stream(level_cap=100, t_end=10.0, seed=101).events()
+        t, s, d = window_events(_stream(level_cap=100, t_end=10.0, seed=101))
         cnt = Counter(zip(s.tolist(), d.tolist()))
         counts = np.array([cnt.get((i, j), 0)
                            for j in range(2, 101) for i in range(1, j)])
@@ -81,7 +83,7 @@ class TestGeneration:
     def test_disjoint_interval_independence(self):
         # 2-way contingency: pair class x disjoint interval, chi-square
         st = _stream(level_cap=4, t_end=4000.0, seed=13)
-        t, s, d = st.events()
+        t, s, d = window_events(st)
         half = (t > 2000.0).astype(int)
         pair_code = (s * 10 + d)
         classes = sorted(set(pair_code.tolist()))
@@ -102,7 +104,7 @@ class TestFixedStream:
                                   burn_in=0.0, seed=0)
         st = engine.EventStream.from_events(
             cfg, [(5.0, 1, 2), (2.0, 1, 3), (5.0, 1, 2)])
-        t, s, d = st.events()
+        t, s, d = window_events(st)
         assert t.tolist() == [2.0, 5.0]
         assert d.tolist() == [3, 2]
 
@@ -132,7 +134,7 @@ class TestQueriesAndExport:
         path = tmp_path / "events.jsonl"
         engine.export_events_jsonl(st, path)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
-        t, s, d = st.events()
+        t, s, d = window_events(st)
         assert len(rows) == len(t)
         assert rows[0].keys() == {"t", "i", "j"}
         assert rows[0]["t"] == t[0]

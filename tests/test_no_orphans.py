@@ -2,12 +2,13 @@
 
 Code that only tests use belongs in ``tests/``.  The guard parses the
 package with ``ast`` and collects, for each module-level public function or
-class and each public class- or staticmethod, the references outside its own
-definition.  The package ``__init__`` re-exports do not count, nor does an
-import that is never used.  A module-level name counts as referenced by a
-bare name or as an attribute of an imported module (``engine.mrca_time``,
-not ``obs.mrca_time``); a class- or staticmethod by any attribute access of
-its name.
+class and each public method or property of a module-level class (instance,
+class- and staticmethods alike), the references outside its own definition.
+The package ``__init__`` re-exports do not count, nor does an import that is
+never used.  A module-level name counts as referenced by a bare name or as
+an attribute of an imported module (``engine.mrca_time``, not
+``obs.mrca_time``); a method or property by any attribute access of its
+name.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _modules() -> dict[Path, ast.Module]:
 
 def _definitions(modules):
     """(name, kind, path, node) for every public module-level function or
-    class and every public class- or staticmethod of a module-level class."""
+    class and every public method or property of a module-level class."""
     out = []
     for path, tree in modules.items():
         for node in tree.body:
@@ -51,10 +52,7 @@ def _definitions(modules):
                 continue
             for sub in node.body:
                 if (isinstance(sub, ast.FunctionDef)
-                        and not sub.name.startswith("_")
-                        and any(isinstance(d, ast.Name)
-                                and d.id in ("classmethod", "staticmethod")
-                                for d in sub.decorator_list)):
+                        and not sub.name.startswith("_")):
                     out.append((sub.name, "method", path, sub))
     return out
 
@@ -134,9 +132,12 @@ def test_guard_sees_an_orphan(tmp_path, monkeypatch):
         "class Box:\n"
         "    unused: int = 0\n"                   # a field, not a call
         "    @classmethod\n    def make(cls):\n        return cls()\n"
-        "    def value(self):\n        return math.pi\n")
+        "    def value(self):\n        return self.value()\n"  # only itself
+        "    @property\n    def size(self):\n        return math.pi\n"
+        "    def scale(self):\n        return 2 * self.size\n")
     (pkg / "b.py").write_text(
         "from . import a\nfrom .a import used, unused\n"  # imports only
-        "def caller(obj):\n    return a.used(), obj.unused, a.Box()\n")
+        "def caller(obj):\n"
+        "    return a.used(), obj.unused, a.Box(), obj.scale()\n")
     monkeypatch.setattr(sys.modules[__name__], "PACKAGE", pkg)
-    assert find_orphans() == ["caller", "make", "unused"]
+    assert find_orphans() == ["caller", "make", "unused", "value"]

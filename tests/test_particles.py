@@ -1,3 +1,4 @@
+import bisect
 import math
 import warnings
 from collections import Counter
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from lookdown import engine, laws, particles, stats
-from lookdown.errors import ConfigurationError, SampleSizeError
+from lookdown.errors import ConfigurationError, InternalError, SampleSizeError
 from lookdown.seeding import rng_from
 
 from oracle import chi_square_two_sample, step, transition_rates
@@ -15,7 +16,7 @@ from oracle import chi_square_two_sample, step, transition_rates
 class TestParticleConfig:
     def test_trailing_ones_stripped(self):
         assert particles.ParticleConfig((5, 2, 1, 1)).levels == (5, 2)
-        assert particles.ParticleConfig((1, 1)).z == 0
+        assert particles.ParticleConfig((1, 1)).levels == ()
 
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
@@ -132,6 +133,32 @@ class TestSimulate:
         assert len(run.exit_configs) == run.exits.size > 50
         assert run.exit_configs == [ev.levels for ev in exit_rows]
         assert [ev.time for ev in exit_rows] == run.exits.tolist()
+
+    @pytest.mark.parametrize("cap", [12, 60, 200])
+    def test_final_state_and_samples_follow_the_rows(self, cap):
+        # with no burn-in every transition is a row, so the final state and
+        # each grid sample are the levels of the last row at or before them,
+        # also when the horizon or a sample falls inside the leader's climb
+        for seed in range(10):
+            cfg = particles.ParticleSimConfig(particle_cap=cap, horizon=50.0,
+                                              seed=seed)
+            run = particles.simulate(cfg, record_trajectory=True,
+                                     sample_spacing=0.37)
+            rows = run.trajectory
+            assert run.n_transitions == len(rows)
+            assert run.final_levels == (rows[-1].levels if rows else ())
+            times = [ev.time for ev in rows]
+            for s, levels in zip(run.sample_times, run.sample_configs):
+                m = bisect.bisect_right(times, s)
+                assert levels == (rows[m - 1].levels if m else ())
+
+    def test_out_of_order_state_is_an_internal_error(self):
+        init = particles.ParticleConfig((5, 3, 2))
+        object.__setattr__(init, "levels", (3, 3, 3))
+        cfg = particles.ParticleSimConfig(particle_cap=50, horizon=10.0,
+                                          init=init)
+        with pytest.raises(InternalError, match="order"):
+            particles.simulate(cfg)
 
     def test_burn_in_discards_prefix(self):
         cfg = particles.ParticleSimConfig(particle_cap=100, horizon=30.0,
