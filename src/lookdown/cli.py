@@ -136,8 +136,7 @@ def cmd_simulate_lookdown(args) -> int:
 
     if not args.no_events:
         events_path = out / "events.jsonl"
-        engine.export_events_jsonl(stream, events_path,
-                                   window=(cfg.t_start, cfg.t_end))
+        engine.export_events_jsonl(stream, events_path)
         outputs.append(events_path)
 
     outputs.append(_write_manifest(out, "simulate-lookdown", args, {

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import (InsufficientWindowError, InternalError, LookdownError,
                       StationarityWarning, WindowRangeError)
-from ..tables import INF, _InfiniteLevel
+from ..tables import INF
 from . import _scan
 from .stream import EventStream
 
@@ -36,7 +36,6 @@ class CoalescentCurve:
     of window (or s_min) before reaching one block.
     """
 
-    reference_time: float
     knot_times: np.ndarray
     lowest_value: int
     level_cap: int
@@ -66,7 +65,6 @@ def coalescent_curve(stream: EventStream, t: float,
         raise WindowRangeError("s_min must lie strictly below t")
     knots_desc, _, _, c_final = _scan.backward_drops(stream, t, s_floor=s_min)
     return CoalescentCurve(
-        reference_time=t,
         knot_times=knots_desc[::-1],
         lowest_value=c_final,
         level_cap=stream.config.level_cap,
@@ -238,7 +236,7 @@ class MrcaObservables:
     time: float
     mrca_time: float
     fixation_level: int
-    coalescent_level: int | _InfiniteLevel
+    coalescent_level: int | float
     curve_count: int
 
     def __post_init__(self):

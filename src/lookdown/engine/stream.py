@@ -329,10 +329,10 @@ def generate_event_stream(config: EngineConfig) -> EventStream:
     return EventStream(config)
 
 
-def export_events_jsonl(stream: EventStream, path,
-                        window: tuple[float, float] | None = None) -> None:
-    """One record per event, {"t": float, "i": src, "j": dst}, time-sorted."""
-    lo, hi = stream.window if window is None else window
+def export_events_jsonl(stream: EventStream, path) -> None:
+    """One record per event in [t_start, t_end] (burn-in left out),
+    {"t": float, "i": src, "j": dst}, time-sorted."""
+    cfg = stream.config
     with open(path, "w") as fh:
-        for ev in stream.iter_events(lo, hi):
+        for ev in stream.iter_events(cfg.t_start, cfg.t_end):
             fh.write(json.dumps({"t": ev.time, "i": ev.src, "j": ev.dst}) + "\n")

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .tables import INF, PmfTable, _InfiniteLevel, table_from_pairs
+from .tables import INF, PmfTable, table_from_pairs
 
 # Truncating S_i^j sums at K* = 512 leaves a tail whose variance
 # sum_{k>K*} (2/(k(k-1)))^2 ~ 4/(3 K*^3) is below 1e-8; the tail is then
@@ -70,7 +70,7 @@ def pmf_LI(level: int, blocks) -> Fraction:
     (level-1) / (3 * C(level+blocks, level)) on level >= 2, blocks >= 3;
     1/3 at (1, INF); 0 everywhere else ("0, else" per the law).
     """
-    if isinstance(blocks, _InfiniteLevel):
+    if blocks == INF:
         return Fraction(1, 3) if level == 1 else Fraction(0)
     if level < 2 or blocks < 3:
         return Fraction(0)

@@ -107,7 +107,6 @@ class ParticleRunResult:
     residual climb time above the cap).
     """
 
-    config: ParticleSimConfig
     exits: np.ndarray
     trajectory: list[TransitionEvent] | None
     exit_configs: list[tuple[int, ...]]
@@ -225,7 +224,7 @@ def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
                               if row[0] >= 0.0)
 
     return ParticleRunResult(
-        config=config, exits=np.asarray(exits, dtype=np.float64),
+        exits=np.asarray(exits, dtype=np.float64),
         trajectory=trajectory,
         exit_configs=exit_configs,
         sample_times=np.asarray(sample_times) if sample_spacing is not None else None,

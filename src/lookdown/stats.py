@@ -7,8 +7,8 @@ checks false-fails rarely.
 
 from __future__ import annotations
 
-import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
@@ -18,9 +18,11 @@ import scipy.special as sp
 import scipy.stats
 
 from .errors import (DegenerateBinningError, SampleSizeError, ValidationError)
-from .tables import PmfTable, _InfiniteLevel, _key, table_from_pairs
+from .tables import PmfTable, table_from_pairs
 
 ALPHA_DEFAULT = 0.001
+# chi-square cells with fewer expected counts are pooled
+MIN_EXPECTED = 5.0
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,6 @@ class GofReport:
                 "alpha": self.alpha, "dof": self.dof, "bins": self.bins,
                 **({"extra": self.extra} if self.extra else {})}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _report(name, statistic, p_value, n, alpha, dof=None, bins="", extra=None):
     return GofReport(name=name, statistic=float(statistic),
@@ -64,93 +63,56 @@ def _report(name, statistic, p_value, n, alpha, dof=None, bins="", extra=None):
 # Empirical pmfs
 
 def empirical_pmf(samples: Sequence) -> PmfTable:
-    """Relative frequencies as exact fractions; INF kept as its own cell."""
-    items = list(samples)
-    if not items:
+    """Relative frequencies as exact fractions; INF kept as its own cell.
+
+    Cells run in increasing value, scalars before tuples.
+    """
+    counts = Counter(samples)
+    n = counts.total()
+    if not n:
         raise SampleSizeError("empirical_pmf needs at least one sample")
-    counts: dict[Any, int] = {}
-    values: dict[Any, Any] = {}
-    for s in items:
-        k = _key(s)
-        counts[k] = counts.get(k, 0) + 1
-        values[k] = s
-    n = len(items)
-
-    def sort_key(k):
-        v = values[k]
-        if isinstance(v, _InfiniteLevel):
-            return (2, 0)
-        if isinstance(v, tuple):
-            return (1, v)
-        return (0, v)
-
-    pairs = [(values[k], Fraction(counts[k], n))
-             for k in sorted(counts, key=sort_key)]
+    pairs = [(v, Fraction(counts[v], n))
+             for v in sorted(counts, key=lambda v: (isinstance(v, tuple), v))]
     return table_from_pairs(pairs, tail_bound=0.0, n=n, name="empirical")
 
 
 # ---------------------------------------------------------------------------
 # Chi-square
 
-def _pool(observed: np.ndarray, expected: np.ndarray, labels: list,
-          min_expected: float):
-    """Pool cells with expected count below the threshold into one tail cell."""
-    keep = expected >= min_expected
-    obs = list(observed[keep])
-    exp = list(expected[keep])
-    labs = [labels[i] for i in np.nonzero(keep)[0]]
-    pooled_obs = float(observed[~keep].sum())
-    pooled_exp = float(expected[~keep].sum())
-    if pooled_exp > 0 or pooled_obs > 0:
-        obs.append(pooled_obs)
-        exp.append(pooled_exp)
-        labs.append("pooled_tail")
-    return np.asarray(obs), np.asarray(exp), labs
-
-
 def chi_square_gof(empirical: PmfTable, exact: PmfTable,
-                   min_expected: float = 5.0,
                    alpha: float = ALPHA_DEFAULT,
                    name: str = "chi_square") -> GofReport:
     """Pearson chi-square of an empirical pmf against an exact one.
 
-    The exact table's support (plus its tail bound) defines the cells;
-    empirical mass outside it joins the tail cell.  Cells with expected
-    count below ``min_expected`` are pooled into the tail.
+    The exact table's support defines the cells.  Cells with expected
+    count below ``MIN_EXPECTED``, the exact tail bound and the empirical
+    mass outside the support form one tail cell; a tail still below
+    ``MIN_EXPECTED`` merges into the last cell left.
     """
     if empirical.n is None:
         raise ValidationError("empirical table must carry its sample size n")
     n = empirical.n
-    exact_keys = {_key(v) for v in exact.support}
-    labels = [v for v in exact.support]
+    weights = dict(empirical.items())
     expected = np.asarray([float(w) * n for w in exact.weights])
-    observed = np.asarray([float(empirical.weight_of(v)) * n
+    observed = np.asarray([float(weights.get(v, 0)) * n
                            for v in exact.support])
-    # everything the exact support does not cover competes for the tail cell
-    extra_obs = n - observed.sum()
-    tail_exp = float(exact.tail_bound) * n
-    obs, exp, labs = _pool(observed, expected, labels, min_expected)
-    if labs and labs[-1] == "pooled_tail":
-        obs[-1] += extra_obs
-        exp[-1] += tail_exp
-    else:
-        obs = np.append(obs, extra_obs)
-        exp = np.append(exp, tail_exp)
-        labs.append("pooled_tail")
-    if exp[-1] < min_expected:
-        # tail still too thin: merge into the last proper cell
-        if len(obs) < 2:
-            raise DegenerateBinningError("all mass pooled; nothing to test")
+    thin = expected < MIN_EXPECTED
+    obs = np.append(observed[~thin],
+                    float(observed[thin].sum()) + (n - observed.sum()))
+    exp = np.append(expected[~thin],
+                    float(expected[thin].sum()) + float(exact.tail_bound) * n)
+    if exp[-1] < MIN_EXPECTED and len(obs) > 1:
+        # tail still too thin: merge it into the last cell left
         obs[-2] += obs[-1]
         exp[-2] += exp[-1]
-        obs, exp, labs = obs[:-1], exp[:-1], labs[:-1]
+        obs, exp = obs[:-1], exp[:-1]
     if len(obs) < 2:
         raise DegenerateBinningError("all mass pooled; nothing to test")
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(obs) - 1
     p = float(scipy.stats.chi2.sf(stat, dof))
     return _report(name, stat, p, n, alpha, dof=dof,
-                   bins=f"{len(obs)} cells (min_expected={min_expected})")
+                   bins=f"{len(obs)} cells (min_expected={MIN_EXPECTED})")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Probability tables and the tagged infinity marker.
+"""Probability tables.
 
 ``PmfTable`` is the exchange format between the analytics side (exact laws)
 and the statistics harness (empirical laws, goodness of fit).  Weights are
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Iterator
@@ -19,54 +20,11 @@ from .errors import ValidationError
 _TOTAL_TOL = 1e-9
 
 
-class _InfiniteLevel:
-    """Tagged marker for the value "infinity" on integer supports.
-
-    Used where the paper's laws put mass on {B_t > t} (I = infinity).  A
-    dedicated singleton rather than a sentinel number: it compares greater
-    than every int and equal only to itself.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INF"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _InfiniteLevel)
-
-    def __hash__(self) -> int:
-        return hash("lookdown-INF")
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, _InfiniteLevel):
-            return False
-        return True
-
-    def __ge__(self, other: object) -> bool:
-        return True
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __le__(self, other: object) -> bool:
-        return isinstance(other, _InfiniteLevel)
-
-    def __reduce__(self):
-        return (_InfiniteLevel, ())
-
-
-INF = _InfiniteLevel()
+# the value of I on {B_t > t}; the (L, I) law puts mass 1/3 there
+INF = math.inf
 
 
 def render_value(v: Any) -> str:
-    if isinstance(v, _InfiniteLevel):
-        return "inf"
     if isinstance(v, tuple):
         return "(" + " ".join(str(x) for x in v) + ")"
     return str(v)
@@ -82,7 +40,8 @@ def render_weight(w: Fraction | float) -> str:
 class PmfTable:
     """Finite view of a probability mass function.
 
-    support : values (ints, INF, or level tuples for particle configs)
+    support : values (ints, INF, or level tuples for particle configs);
+              INF is ``math.inf``, so cells are keyed by value alone
     weights : one weight per support point; Fraction where exact
     tail_bound : mass of the truncated remainder of an infinite support
     n : sample count when the table is empirical, else None
@@ -97,7 +56,7 @@ class PmfTable:
     def __post_init__(self):
         if len(self.support) != len(self.weights):
             raise ValidationError("support and weights must have equal length")
-        if len(set(map(_key, self.support))) != len(self.support):
+        if len(set(self.support)) != len(self.support):
             raise ValidationError("support values must be distinct")
         if any(w < 0 for w in self.weights):
             raise ValidationError("weights must be nonnegative")
@@ -110,12 +69,6 @@ class PmfTable:
 
     def items(self) -> Iterator[tuple[Any, Fraction | float]]:
         return zip(self.support, self.weights)
-
-    def weight_of(self, value: Any) -> Fraction | float:
-        for v, w in self.items():
-            if _key(v) == _key(value):
-                return w
-        return Fraction(0)
 
     def to_rows(self) -> list[dict[str, Any]]:
         rows = []
@@ -142,11 +95,6 @@ class PmfTable:
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-
-
-def _key(v: Any) -> Any:
-    # hashable identity for support lookup (INF vs ints vs tuples)
-    return ("inf",) if isinstance(v, _InfiniteLevel) else v
 
 
 def table_from_pairs(pairs: Iterable[tuple[Any, Fraction | float]],

@@ -24,7 +24,8 @@ where neither side has an exact table to test against.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from collections import Counter
+from typing import Sequence
 
 import numpy as np
 import scipy.stats
@@ -32,8 +33,7 @@ import scipy.stats
 from lookdown.errors import DegenerateBinningError, SampleSizeError
 from lookdown.laws import comb2
 from lookdown.particles import ParticleConfig, TransitionEvent
-from lookdown.stats import ALPHA_DEFAULT, GofReport, _report
-from lookdown.tables import _key
+from lookdown.stats import ALPHA_DEFAULT, MIN_EXPECTED, GofReport, _report
 
 
 def unit_step_scan(dsts, level: int, step: int,
@@ -143,7 +143,6 @@ def step(state: ParticleConfig,
 
 
 def chi_square_two_sample(samples_a: Sequence, samples_b: Sequence,
-                          min_expected: float = 5.0,
                           alpha: float = ALPHA_DEFAULT,
                           name: str = "chi_square_2sample") -> GofReport:
     """Homogeneity chi-square for two independent discrete samples."""
@@ -151,19 +150,13 @@ def chi_square_two_sample(samples_a: Sequence, samples_b: Sequence,
     na, nb = len(a), len(b)
     if min(na, nb) < 2:
         raise SampleSizeError("need at least two samples on each side")
-    keys: dict[Any, Any] = {}
-    ca: dict[Any, int] = {}
-    cb: dict[Any, int] = {}
-    for s in a:
-        k = _key(s); keys[k] = s; ca[k] = ca.get(k, 0) + 1
-    for s in b:
-        k = _key(s); keys[k] = s; cb[k] = cb.get(k, 0) + 1
-    labels = list(keys)
-    oa = np.asarray([ca.get(k, 0) for k in labels], dtype=float)
-    ob = np.asarray([cb.get(k, 0) for k in labels], dtype=float)
+    ca, cb = Counter(a), Counter(b)
+    labels = list({**ca, **cb})
+    oa = np.asarray([ca[k] for k in labels], dtype=float)
+    ob = np.asarray([cb[k] for k in labels], dtype=float)
     pooled = (oa + ob) / (na + nb)
     # pool thin cells by the smaller expected count
-    thin = np.minimum(pooled * na, pooled * nb) < min_expected
+    thin = np.minimum(pooled * na, pooled * nb) < MIN_EXPECTED
     if thin.any():
         oa = np.append(oa[~thin], oa[thin].sum())
         ob = np.append(ob[~thin], ob[thin].sum())

@@ -55,6 +55,19 @@ class TestTables:
         assert code == cli.EXIT_INTERNAL == 4
         assert "internal error" in capsys.readouterr().err
 
+    def test_infinity_spelled_inf(self, tmp_path):
+        # I = INF on {Z = 0}: the LI table and the observables agree
+        assert run_cli(["tables", "--which", "LI", "--max-level", "3",
+                        "--max-blocks", "4", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "table_LI.csv").read_text().splitlines()
+        assert lines[1].startswith("(1 inf),1/3,")
+        assert run_cli(["simulate-lookdown", "--levels", "20", "--t-start",
+                        "0", "--t-end", "10", "--seed", "7", "--no-events",
+                        "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "observables.csv").read_text().splitlines()[1:]]
+        assert {i for _, _, _, i, z in rows if z == "0"} == {"inf"}
+
     def test_unknown_table_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(["tables", "--which", "nope"])

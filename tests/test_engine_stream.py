@@ -130,12 +130,13 @@ class TestQueriesAndExport:
         assert all(0.0 <= e.time <= 5.0 for e in evs)
 
     def test_jsonl_export(self, tmp_path):
-        st = _stream(level_cap=4, t_end=20.0, seed=6)
+        st = _stream(level_cap=4, t_end=20.0, burn_in=5.0, seed=6)
         path = tmp_path / "events.jsonl"
         engine.export_events_jsonl(st, path)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
-        t, s, d = window_events(st)
-        assert len(rows) == len(t)
+        # the burn-in [-5, 0) is left out
+        t, s, d = events_between(st, 0.0, 20.0)
+        assert len(rows) == len(t) < len(window_events(st)[0])
         assert rows[0].keys() == {"t", "i", "j"}
         assert rows[0]["t"] == t[0]
         times = [r["t"] for r in rows]

@@ -1,14 +1,16 @@
-"""Every public function and class in ``src/lookdown`` has a caller there.
+"""Every public function, class and field in ``src/lookdown`` is used there.
 
 Code that only tests use belongs in ``tests/``.  The guard parses the
 package with ``ast`` and collects, for each module-level public function or
-class and each public method or property of a module-level class (instance,
-class- and staticmethods alike), the references outside its own definition.
-The package ``__init__`` re-exports do not count, nor does an import that is
-never used.  A module-level name counts as referenced by a bare name or as
-an attribute of an imported module (``engine.mrca_time``, not
-``obs.mrca_time``); a method or property by any attribute access of its
-name.
+class and each public method, property or annotated field of a module-level
+class (instance, class- and staticmethods alike), the references outside its
+own definition.  The package ``__init__`` re-exports do not count, nor does
+an import that is never used.  A module-level name counts as referenced by a
+bare name or as an attribute of an imported module (``engine.mrca_time``,
+not ``obs.mrca_time``); a method, property or field by any attribute load of
+its name.  A constructor keyword does not read a field.  Matching is by name
+alone, so a member is missed when another class has one of the same name
+(``ParticleRunResult.config`` was hidden by ``stream.config``).
 """
 
 from __future__ import annotations
@@ -31,6 +33,12 @@ ALLOWED = {
                "kept for the exact finite-N (L, I) target",
     "pmf_LI_blocks_tail": "paper law P[L = l, I > b], kept for the exact "
                           "finite-N (L, I) target",
+    "exit_configs": "the paper's configuration at each MRCA establishment, "
+                    "the state a new MRCA is established in",
+    "final_levels": "the configuration at the horizon, from which a run "
+                    "can be continued",
+    "sample_times": "the time of each sample_configs entry, so a sample "
+                    "can be placed on the run's trajectory",
 }
 
 
@@ -41,7 +49,8 @@ def _modules() -> dict[Path, ast.Module]:
 
 def _definitions(modules):
     """(name, kind, path, node) for every public module-level function or
-    class and every public method or property of a module-level class."""
+    class and every public method, property or annotated field of a
+    module-level class."""
     out = []
     for path, tree in modules.items():
         for node in tree.body:
@@ -54,6 +63,10 @@ def _definitions(modules):
                 if (isinstance(sub, ast.FunctionDef)
                         and not sub.name.startswith("_")):
                     out.append((sub.name, "method", path, sub))
+                elif (isinstance(sub, ast.AnnAssign)
+                        and isinstance(sub.target, ast.Name)
+                        and not sub.target.id.startswith("_")):
+                    out.append((sub.target.id, "field", path, sub))
     return out
 
 
@@ -70,7 +83,8 @@ def _module_aliases(tree: ast.Module) -> set[str]:
 
 def _references(modules):
     """name -> [(path, node)] for loaded bare names and module attributes
-    (kind "module") and for any loaded attribute (kind "method")."""
+    (kind "module") and for any loaded attribute (kinds "method" and
+    "field")."""
     names: dict[str, list] = {}
     attrs: dict[str, list] = {}
     for path, tree in modules.items():
@@ -86,7 +100,7 @@ def _references(modules):
                 attrs.setdefault(node.attr, []).append((path, node))
                 if isinstance(node.value, ast.Name) and node.value.id in aliases:
                     names.setdefault(node.attr, []).append((path, node))
-    return {"module": names, "method": attrs}
+    return {"module": names, "method": attrs, "field": attrs}
 
 
 def _inside(node: ast.AST, definition: ast.AST) -> bool:
@@ -131,6 +145,7 @@ def test_guard_sees_an_orphan(tmp_path, monkeypatch):
         "def unused():\n    return unused()\n"   # only calls itself
         "class Box:\n"
         "    unused: int = 0\n"                   # a field, not a call
+        "    spare: int = 0\n"                    # a field nothing reads
         "    @classmethod\n    def make(cls):\n        return cls()\n"
         "    def value(self):\n        return self.value()\n"  # only itself
         "    @property\n    def size(self):\n        return math.pi\n"
@@ -138,6 +153,6 @@ def test_guard_sees_an_orphan(tmp_path, monkeypatch):
     (pkg / "b.py").write_text(
         "from . import a\nfrom .a import used, unused\n"  # imports only
         "def caller(obj):\n"
-        "    return a.used(), obj.unused, a.Box(), obj.scale()\n")
+        "    return a.used(), obj.unused, a.Box(spare=1), obj.scale()\n")
     monkeypatch.setattr(sys.modules[__name__], "PACKAGE", pkg)
-    assert find_orphans() == ["caller", "make", "unused", "value"]
+    assert find_orphans() == ["caller", "make", "spare", "unused", "value"]

@@ -9,7 +9,7 @@ from lookdown import laws, stats
 from lookdown.errors import (DegenerateBinningError, SampleSizeError,
                              ValidationError)
 from lookdown.seeding import rng_from
-from lookdown.tables import INF
+from lookdown.tables import INF, table_from_pairs
 
 from oracle import chi_square_two_sample
 
@@ -17,13 +17,13 @@ from oracle import chi_square_two_sample
 class TestEmpiricalPmf:
     def test_exact_fractions(self):
         t = stats.empirical_pmf([1, 1, 2])
-        assert t.weight_of(1) == Fraction(2, 3)
-        assert t.weight_of(2) == Fraction(1, 3)
+        assert dict(t.items()) == {1: Fraction(2, 3), 2: Fraction(1, 3)}
         assert t.n == 3
 
     def test_inf_cell_counted_separately(self):
         t = stats.empirical_pmf([1, INF, INF, 2])
-        assert t.weight_of(INF) == Fraction(1, 2)
+        assert t.support == (1, 2, INF)
+        assert dict(t.items())[INF] == Fraction(1, 2)
         assert sum(t.weights) == 1
 
     def test_empty_rejected(self):
@@ -33,10 +33,10 @@ class TestEmpiricalPmf:
     def test_sampler_cellwise_close(self, rng):
         n = 100_000
         draws = laws.sample_L(rng, n).tolist()
-        t = stats.empirical_pmf(draws)
+        weights = dict(stats.empirical_pmf(draws).items())
         for l in range(1, 7):
             p = float(laws.pmf_L(l))
-            assert abs(float(t.weight_of(l)) - p) \
+            assert abs(float(weights[l]) - p) \
                 < 4 * math.sqrt(p * (1 - p) / n)
 
 
@@ -69,8 +69,40 @@ class TestChiSquare:
     def test_degenerate_binning(self):
         exact = laws.pmf_L_table(2)
         with pytest.raises(DegenerateBinningError):
-            stats.chi_square_gof(stats.empirical_pmf([1, 2]), exact,
-                                 min_expected=50.0)
+            stats.chi_square_gof(stats.empirical_pmf([1, 2]), exact)
+
+    def test_thin_cells_pool_into_tail(self):
+        # expected 24, 24, 6, 3, 3: cells 3 and 4 pool into a tail of 6
+        exact = table_from_pairs([(0, Fraction(2, 5)), (1, Fraction(2, 5)),
+                                  (2, Fraction(1, 10)), (3, Fraction(1, 20)),
+                                  (4, Fraction(1, 20))])
+        samples = [0] * 20 + [1] * 26 + [2] * 8 + [3] * 4 + [4] * 2
+        rep = stats.chi_square_gof(stats.empirical_pmf(samples), exact)
+        # 16/24 + 4/24 + 4/6 + 0/6
+        assert rep.statistic == pytest.approx(1.5, rel=1e-12)
+        assert (rep.dof, rep.bins) == (3, "4 cells (min_expected=5.0)")
+
+    def test_mass_outside_support_joins_tail(self):
+        # expected 40, 20, 10 and a tail of 10 from the tail bound 1/8;
+        # the twelve 7s lie outside the support and fill the tail
+        exact = table_from_pairs([(0, Fraction(1, 2)), (1, Fraction(1, 4)),
+                                  (2, Fraction(1, 8))], tail_bound=0.125)
+        samples = [0] * 36 + [1] * 22 + [2] * 10 + [7] * 12
+        rep = stats.chi_square_gof(stats.empirical_pmf(samples), exact)
+        # 16/40 + 4/20 + 0/10 + 4/10
+        assert rep.statistic == pytest.approx(1.0, rel=1e-12)
+        assert (rep.dof, rep.bins) == (3, "4 cells (min_expected=5.0)")
+
+    def test_thin_tail_merges_into_last_cell(self):
+        # expected 24, 12, 9, 3: the tail (cell 3 and the three 9s outside
+        # the support) expects 3 < 5, so it merges into cell 2: 14 vs 12
+        exact = table_from_pairs([(0, Fraction(1, 2)), (1, Fraction(1, 4)),
+                                  (2, Fraction(3, 16)), (3, Fraction(1, 16))])
+        samples = [0] * 20 + [1] * 14 + [2] * 9 + [3] * 2 + [9] * 3
+        rep = stats.chi_square_gof(stats.empirical_pmf(samples), exact)
+        # 16/24 + 4/12 + 4/12
+        assert rep.statistic == pytest.approx(4 / 3, rel=1e-12)
+        assert (rep.dof, rep.bins) == (2, "3 cells (min_expected=5.0)")
 
     def test_two_sample_null_and_power(self, rng):
         a = laws.sample_L(rng, 20_000).tolist()
@@ -110,7 +142,7 @@ class TestMomentBand:
     def test_report_consistency(self, rng):
         rep = stats.moment_band(rng.normal(0, 1, 500), target_mean=0.0)
         assert (rep.p_value > rep.alpha) == rep.passed
-        payload = json.loads(rep.to_json())
+        payload = json.loads(json.dumps(rep.to_dict()))
         assert {"name", "statistic", "p_value", "pass", "n"} <= payload.keys()
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,23 +8,12 @@ from lookdown.errors import ValidationError
 from lookdown.tables import INF, PmfTable, render_weight, table_from_pairs
 
 
-def test_inf_marker_is_tagged_singleton():
-    assert INF == INF
-    assert INF != 10**9
-    assert INF > 10**9
-    assert not INF < 5
-    assert 5 < INF
-    assert repr(INF) == "INF"
-    assert hash(INF) == hash(INF)
-
-
 def test_table_normalization_enforced():
     with pytest.raises(ValidationError):
         PmfTable((1, 2), (Fraction(1, 3), Fraction(1, 3)), tail_bound=0.0)
     t = PmfTable((1, 2), (Fraction(1, 3), Fraction(1, 3)),
                  tail_bound=float(Fraction(1, 3)))
-    assert t.weight_of(1) == Fraction(1, 3)
-    assert t.weight_of(99) == 0
+    assert dict(t.items()) == {1: Fraction(1, 3), 2: Fraction(1, 3)}
 
 
 def test_table_rejects_bad_weights():
@@ -34,8 +24,12 @@ def test_table_rejects_bad_weights():
 
 
 def test_inf_in_support():
+    # INF is the float infinity: above every level, keyed by value alone
+    assert INF is math.inf and 10**9 < INF
     t = table_from_pairs([(1, Fraction(2, 3)), (INF, Fraction(1, 3))])
-    assert t.weight_of(INF) == Fraction(1, 3)
+    assert dict(t.items())[float("inf")] == Fraction(1, 3)
+    with pytest.raises(ValidationError):
+        table_from_pairs([(INF, 0.5), (math.inf, 0.5)])
 
 
 def test_render_and_dump(tmp_path):
