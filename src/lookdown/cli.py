@@ -111,8 +111,8 @@ def cmd_simulate_lookdown(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         points = engine.mrca_point_process(stream)
-        sample_times = np.arange(cfg.t_start, cfg.t_end, args.sample_spacing)
-        obs = [engine.observables_at(stream, float(t)) for t in sample_times]
+        grid = np.arange(cfg.t_start, cfg.t_end, args.sample_spacing)
+        obs = [engine.observables_at(stream, float(t)) for t in grid]
     points_path = out / "mrca_points.csv"
     engine.export_points_csv(points, points_path)
     outputs.append(points_path)

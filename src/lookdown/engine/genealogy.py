@@ -38,7 +38,6 @@ class CoalescentCurve:
 
     knot_times: np.ndarray
     lowest_value: int
-    level_cap: int
     truncated: bool
 
     def steps(self) -> list[tuple[float, int]]:
@@ -67,18 +66,7 @@ def coalescent_curve(stream: EventStream, t: float,
     return CoalescentCurve(
         knot_times=knots_desc[::-1],
         lowest_value=c_final,
-        level_cap=stream.config.level_cap,
         truncated=c_final > 1)
-
-
-def mrca_time(stream: EventStream, t: float) -> float:
-    """A_t, the time the MRCA of the whole time-t population lived.
-
-    The final backward coalescence must sit on a (1, 2) event; this is
-    checked, not assumed.
-    """
-    stream.require_inside(t)
-    return float(_drop_to_one_block(stream, t)[0][-1])
 
 
 def _drop_to_one_block(stream: EventStream, t: float

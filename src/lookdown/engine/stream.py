@@ -13,7 +13,9 @@ only the bands up to m.  Each band cuts the time axis on its own fixed
 absolute grid, of a power-of-two width chosen so that a slice holds about
 SLICE_EVENTS events and never wider than the band below, so the grids
 nest.  Each slice is synthesized on first touch from an RNG derived from
-(seed, band, slice index) and cached with an eviction budget.
+(seed, band, slice index) and cached with an eviction budget.  This is
+the stream's one source of events; tests that need given events substitute
+``_generate_slice``.
 
 A backward query from level_cap down to one block crosses each band in
 about 2/(lowest level of the band) time units, so it reads about
@@ -72,16 +74,6 @@ class EngineConfig:
         return (self.t_start - self.burn_in, self.t_end)
 
 
-@dataclass(frozen=True)
-class LookdownEvent:
-    """At `time`, level `dst` looks down to level `src` (src < dst):
-    a line is born at dst and every line at level >= dst is pushed up."""
-
-    time: float
-    src: int
-    dst: int
-
-
 def _band_edges(level_cap: int) -> list[int]:
     """[1, 16, 32, ..., level_cap]: band b holds dst in (edges[b], edges[b+1]]."""
     edges, top = [1], FIRST_BAND_TOP
@@ -115,29 +107,18 @@ class EventStream:
     """Realized look-down events on a window; the randomness source for all
     genealogical observables.
 
-    The events are fixed at construction.  Queries mutate only the slice
-    cache and plain counters of its traffic (``counters()``), so threads
-    that share a stream and consume disjoint, already-generated ranges need
-    no lock; the counters may then miss updates.
+    The events are fixed by the config and its seed, and generated slice by
+    slice in ``_generate_slice``, the one source of events; tests replay
+    given events by overriding it.  Queries mutate only the slice cache and
+    plain counters of its traffic (``counters()``), so threads that share a
+    stream and consume disjoint, already-generated ranges need no lock; the
+    counters may then miss updates.
     """
 
-    def __init__(self, config: EngineConfig, *,
-                 _fixed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
+    def __init__(self, config: EngineConfig):
         self.config = config
         self._edges = _band_edges(config.level_cap)
-        self._fixed = None
-        if _fixed is None:
-            self._origin = 0.0
-            self._widths = _slice_widths(self._edges)
-        else:
-            # the same bands, each one slice holding the whole window
-            # strictly inside it, so no event sits on a grid line
-            lo, hi = config.window
-            band = np.searchsorted(self._edges, _fixed[2]) - 1
-            self._fixed = [tuple(x[band == b] for x in _fixed)
-                           for b in range(len(self._edges) - 1)]
-            self._origin = lo - 1.0
-            self._widths = [2.0 * (hi - lo + 1.0)] * len(self._fixed)
+        self._widths = _slice_widths(self._edges)
         self._cache: OrderedDict[tuple[int, int],
                                  tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
         self._cached_events = 0
@@ -145,28 +126,6 @@ class EventStream:
         self.events_generated = 0
         self.cache_hits = 0
         self.cache_evictions = 0
-
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_events(cls, config: EngineConfig,
-                    events) -> "EventStream":
-        """Fixed stream from explicit events (tests, replay).
-
-        Events are sorted by (time, src, dst) and exact duplicates dropped,
-        matching the generated backend's tie-break rule.
-        """
-        recs = [(float(e.time), int(e.src), int(e.dst)) if isinstance(e, LookdownEvent)
-                else (float(e[0]), int(e[1]), int(e[2])) for e in events]
-        for t, i, j in recs:
-            if not (1 <= i < j <= config.level_cap):
-                raise ConfigurationError(f"bad pair ({i}, {j}) for level_cap "
-                                         f"{config.level_cap}")
-        recs = sorted(set(recs))
-        times = np.asarray([r[0] for r in recs], dtype=np.float64)
-        srcs = np.asarray([r[1] for r in recs], dtype=np.int32)
-        dsts = np.asarray([r[2] for r in recs], dtype=np.int32)
-        return cls(config, _fixed=(times, srcs, dsts))
 
     def counters(self) -> dict[str, int]:
         """Slice-cache traffic so far: slices and events generated, hits,
@@ -227,8 +186,7 @@ class EventStream:
             self._cache.move_to_end(key)
             self.cache_hits += 1
             return entry
-        entry = (self._generate_slice(b, k) if self._fixed is None
-                 else self._fixed[b])
+        entry = self._generate_slice(b, k)
         self.slices_generated += 1
         self.events_generated += len(entry[0])
         self._cache[key] = entry
@@ -295,11 +253,10 @@ class EventStream:
         while True:
             n_bands = self._n_bands(cap if max_dst is None else max_dst())
             w = self._widths[n_bands - 1]
-            x = (pos - self._origin) / w
-            # backward from a grid line, the slice below it (nothing lives
-            # on a grid line)
+            x = pos / w
+            # backward from a grid line, the slice below it
             k = math.ceil(x) - 1 if reverse else math.floor(x)
-            start = self._origin + k * w
+            start = k * w
             if reverse:
                 chunk = self._chunk(n_bands, k, max(a, start), pos)
             else:
@@ -316,13 +273,6 @@ class EventStream:
                     return
                 pos = start + w
 
-    # -- per-event view -----------------------------------------------------
-
-    def iter_events(self, a: float, b: float) -> Iterator[LookdownEvent]:
-        for times, srcs, dsts in self.iter_chunks(a, b):
-            for m in range(len(times)):
-                yield LookdownEvent(float(times[m]), int(srcs[m]), int(dsts[m]))
-
 
 def generate_event_stream(config: EngineConfig) -> EventStream:
     """Lazy stream of independent rate-1 pair processes, seed-determined."""
@@ -334,5 +284,6 @@ def export_events_jsonl(stream: EventStream, path) -> None:
     {"t": float, "i": src, "j": dst}, time-sorted."""
     cfg = stream.config
     with open(path, "w") as fh:
-        for ev in stream.iter_events(cfg.t_start, cfg.t_end):
-            fh.write(json.dumps({"t": ev.time, "i": ev.src, "j": ev.dst}) + "\n")
+        for times, srcs, dsts in stream.iter_chunks(cfg.t_start, cfg.t_end):
+            for t, i, j in zip(times.tolist(), srcs.tolist(), dsts.tolist()):
+                fh.write(json.dumps({"t": t, "i": i, "j": j}) + "\n")

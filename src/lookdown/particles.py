@@ -101,18 +101,25 @@ class ParticleSimConfig:
 class ParticleRunResult:
     """Output of ``simulate``.
 
-    exit_configs[m] is the configuration just after exit m (jump-back
-    applied), the state in which a new MRCA is established.
-    exit_time_bias is the analytic per-exit truncation bias 2/cap (mean
-    residual climb time above the cap).
+    exits               exit times in [0, horizon]; the CLI writes them,
+                        and verify tests their gaps against Exp(1)
+    trajectory          every transition at or after time 0, when recorded;
+                        the CLI writes it, and verify replays the jump-back
+    exit_configs        exit_configs[m] is the configuration just after exit
+                        m (jump-back applied), the state in which a new MRCA
+                        is established; verify tests it against pi_Lambda
+    sample_configs      the configuration at spacing, 2 spacing, ... below
+                        the horizon, when sampled; verify tests it against
+                        pi_Lambda and the law of Z
+    n_transitions       transitions made, burn-in included; the CLI prints it
+    exit_time_bias      the analytic per-exit truncation bias 2/cap (mean
+                        residual climb time above the cap), for the manifest
     """
 
     exits: np.ndarray
     trajectory: list[TransitionEvent] | None
     exit_configs: list[tuple[int, ...]]
-    sample_times: np.ndarray | None
     sample_configs: list[tuple[int, ...]] | None
-    final_levels: tuple[int, ...]
     n_transitions: int
     exit_time_bias: float
 
@@ -159,7 +166,6 @@ def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
     exit_configs: list[tuple[int, ...]] = []
     trajectory: list[TransitionEvent] | None = [] if record_trajectory else None
     next_sample = sample_spacing if sample_spacing is not None else math.inf
-    sample_times: list[float] = []
     sample_configs: list[tuple[int, ...]] = []
     n_transitions = 0
 
@@ -182,7 +188,6 @@ def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
 
         while next_sample < t + dt:
             lead = l1 + int(np.searchsorted(cum, next_sample - t, side="right"))
-            sample_times.append(next_sample)
             sample_configs.append((lead, *rest) if levels else ())
             next_sample += sample_spacing
         start = t
@@ -227,9 +232,8 @@ def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
         exits=np.asarray(exits, dtype=np.float64),
         trajectory=trajectory,
         exit_configs=exit_configs,
-        sample_times=np.asarray(sample_times) if sample_spacing is not None else None,
         sample_configs=sample_configs if sample_spacing is not None else None,
-        final_levels=tuple(levels), n_transitions=n_transitions,
+        n_transitions=n_transitions,
         exit_time_bias=2.0 / cap)
 
 

@@ -156,12 +156,23 @@ def check_particle_equilibrium(p: dict, seed: int) -> CheckResult:
     occ = [_config_cell(c) for c in run.sample_configs]
     rep2 = stats.chi_square_gof(stats.empirical_pmf(occ), exact,
                                 alpha=ALPHA, name="occupation_vs_pi")
-    ok = rep1.passed and rep2.passed
+    # a new MRCA is established in equilibrium too; successive post-exit
+    # configurations share particles, so keep the exits at least
+    # SAMPLE_SPACING after the last one kept
+    post_exit, last = [], -math.inf
+    for e, c in zip(run.exits.tolist(), run.exit_configs):
+        if e - last >= SAMPLE_SPACING:
+            post_exit.append(_config_cell(c))
+            last = e
+    rep3 = stats.chi_square_gof(stats.empirical_pmf(post_exit), exact,
+                                alpha=ALPHA, name="post_exit_vs_pi")
+    ok = rep1.passed and rep2.passed and rep3.passed
     return CheckResult(
         name="particle-equilibrium", criterion=3, passed=ok,
         detail=(f"chi2 stationary-sampler p={rep1.p_value:.4f}, "
-                f"occupation (n={rep2.n}) p={rep2.p_value:.4f} (both > {ALPHA})"),
-        reports=[rep1.to_dict(), rep2.to_dict()])
+                f"occupation (n={rep2.n}) p={rep2.p_value:.4f}, "
+                f"post-exit (n={rep3.n}) p={rep3.p_value:.4f} (all > {ALPHA})"),
+        reports=[rep1.to_dict(), rep2.to_dict(), rep3.to_dict()])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ event at a time, the reference for ``_scan.unit_step_block`` and
 ``_scan.unit_step_hits``; ``curve_pass_per_event`` walks every fixation
 curve through every event, the reference for ``_scan.curve_pass``.
 
+``FixedStream`` replays given events through the engine's slice machinery,
+and ``fixed_stream`` builds one from (time, src, dst) tuples.
 ``events_between``, ``window_events`` and ``curve_value`` read an engine
 stream's events as arrays and an engine ``CoalescentCurve`` at one time,
 for tests that compare them with the oracles.
@@ -24,13 +26,16 @@ where neither side has an exact table to test against.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Sequence
 
 import numpy as np
 import scipy.stats
 
-from lookdown.errors import DegenerateBinningError, SampleSizeError
+from lookdown.engine import EngineConfig, EventStream
+from lookdown.errors import (ConfigurationError, DegenerateBinningError,
+                             SampleSizeError)
 from lookdown.laws import comb2
 from lookdown.particles import ParticleConfig, TransitionEvent
 from lookdown.stats import ALPHA_DEFAULT, MIN_EXPECTED, GofReport, _report
@@ -79,6 +84,47 @@ def curve_pass_per_event(events, level_cap: int):
             alive.append([len(births), 2])
             births.append(tau)
     return births, exit_times, exit_ids, [c[0] for c in alive], paths
+
+
+class FixedStream(EventStream):
+    """A stream of given events, sorted by (time, src, dst) without
+    duplicates, in place of the generated ones.
+
+    Every band has one slice width, a power of two w with the window inside
+    (-w, w), and slice k holds the closed interval [k w, (k+1) w]: an event
+    on a grid line, at 0.0 say, lies in two slices, and each chunk's own
+    time bounds read it once.
+    """
+
+    def __init__(self, config: EngineConfig, times: np.ndarray,
+                 srcs: np.ndarray, dsts: np.ndarray):
+        super().__init__(config)
+        w = 2.0 ** math.ceil(math.log2(max(map(abs, config.window)) + 1.0))
+        self._widths = [w] * (len(self._edges) - 1)
+        band = np.searchsorted(self._edges, dsts) - 1
+        self._given = [(times[band == b], srcs[band == b], dsts[band == b])
+                       for b in range(len(self._widths))]
+
+    def _generate_slice(self, b: int, k: int):
+        times, srcs, dsts = self._given[b]
+        w = self._widths[b]
+        i0 = times.searchsorted(k * w, side="left")
+        i1 = times.searchsorted((k + 1) * w, side="right")
+        return times[i0:i1], srcs[i0:i1], dsts[i0:i1]
+
+
+def fixed_stream(config: EngineConfig, events) -> FixedStream:
+    """A ``FixedStream`` of (time, src, dst) events, sorted by (time, src,
+    dst) and exact duplicates dropped, as generated slices are."""
+    recs = sorted({(float(t), int(i), int(j)) for t, i, j in events})
+    for _, i, j in recs:
+        if not 1 <= i < j <= config.level_cap:
+            raise ConfigurationError(f"bad pair ({i}, {j}) for level_cap "
+                                     f"{config.level_cap}")
+    times, srcs, dsts = zip(*recs) if recs else ((), (), ())
+    return FixedStream(config, np.asarray(times, dtype=np.float64),
+                       np.asarray(srcs, dtype=np.int32),
+                       np.asarray(dsts, dtype=np.int32))
 
 
 def events_between(stream, a: float, b: float):

@@ -10,7 +10,8 @@ from lookdown.errors import (InsufficientWindowError, StationarityWarning,
 from lookdown.seeding import child_seed
 from lookdown.tables import INF
 
-from oracle import GraphOracle, curve_value, events_between, window_events
+from oracle import (GraphOracle, curve_value, events_between, fixed_stream,
+                    window_events)
 
 
 def _stream(level_cap, t_end, burn_in=15.0, seed=0):
@@ -33,7 +34,7 @@ class TestBackwardLevelAgainstOracle:
     def test_single_event_construction(self):
         cfg = engine.EngineConfig(level_cap=3, t_start=0.0, t_end=10.0,
                                   burn_in=0.0, seed=0)
-        st = engine.EventStream.from_events(cfg, [(5.0, 1, 2)])
+        st = fixed_stream(cfg, [(5.0, 1, 2)])
         assert engine.backward_level(st, 8.0, 2, 2.0) == 1
         assert engine.backward_level(st, 8.0, 2, 6.0) == 2
         # an event exactly at s is not strictly after s: no hop through it
@@ -130,7 +131,7 @@ class TestCoalescentCurve:
         n, depths = 60, []
         for r in range(120):
             st = _stream(n, 1.0, burn_in=25.0, seed=child_seed(900, r))
-            depths.append(0.5 - engine.mrca_time(st, 0.5))
+            depths.append(0.5 - engine.coalescent_curve(st, 0.5).mrca_time)
         target = 2 * (1 - 1 / n)
         se = np.std(depths, ddof=1) / math.sqrt(len(depths))
         assert abs(np.mean(depths) - target) < 4 * se
@@ -139,7 +140,7 @@ class TestCoalescentCurve:
 class TestMrcaTime:
     def test_on_p12_and_piecewise_constant(self):
         st = _stream(25, 30.0, seed=8)
-        a = engine.mrca_time(st, 10.0)
+        a = engine.observables_at(st, 10.0).mrca_time
         assert _p12_times(st, a, a).size == 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -149,13 +150,13 @@ class TestMrcaTime:
         k = int(np.searchsorted(e, 10.0))
         lo, hi = e[k - 1], e[k]
         for q in np.linspace(lo + 1e-6, hi - 1e-6, 5):
-            assert engine.mrca_time(st, float(q)) == a
+            assert engine.observables_at(st, float(q)).mrca_time == a
 
     def test_insufficient_window(self):
         st = engine.generate_event_stream(engine.EngineConfig(
             level_cap=25, t_start=0.0, t_end=1.0, burn_in=0.05, seed=9))
         with pytest.raises(InsufficientWindowError):
-            engine.mrca_time(st, 0.5)
+            _ = engine.coalescent_curve(st, 0.5).mrca_time
 
 
 class TestFixationCurves:
@@ -304,7 +305,7 @@ class TestObservables:
         # counting the birth event itself would push it to the cap first.
         cfg = engine.EngineConfig(level_cap=6, t_start=0.0, t_end=10.0,
                                   burn_in=0.0, seed=0)
-        st = engine.EventStream.from_events(cfg, [
+        st = fixed_stream(cfg, [
             (1.0, 1, 2), (2.0, 2, 3), (4.0, 1, 2), (5.0, 3, 4),
             (6.0, 2, 3), (7.0, 1, 5), (8.0, 4, 6), (8.5, 1, 2)])
         with pytest.warns(StationarityWarning):

@@ -12,8 +12,9 @@ from lookdown.engine import _scan, genealogy
 from lookdown.engine import stream as stream_module
 from lookdown.errors import LookdownError
 
-from oracle import (GraphOracle, curve_pass_per_event, curve_value,
-                    events_between, unit_step_scan, window_events)
+from oracle import (FixedStream, GraphOracle, curve_pass_per_event,
+                    curve_value, events_between, fixed_stream, unit_step_scan,
+                    window_events)
 
 CAP = 12
 
@@ -44,7 +45,7 @@ def _fixed_stream(dsts, level_cap=CAP, seed=0):
     rng = np.random.default_rng(seed)
     cfg = engine.EngineConfig(level_cap=level_cap, t_start=0.0,
                               t_end=0.01 * (len(dsts) + 1), burn_in=0.0)
-    return engine.EventStream.from_events(cfg, [
+    return fixed_stream(cfg, [
         (0.01 * (k + 1), int(rng.integers(1, d)), int(d))
         for k, d in enumerate(dsts)])
 
@@ -161,7 +162,7 @@ class TestUnitStepHits:
 def _small_stream(events, level_cap=SMALL_CAP):
     cfg = engine.EngineConfig(level_cap=level_cap, t_start=0.0, t_end=10.0,
                               burn_in=0.0, seed=0)
-    return engine.EventStream.from_events(cfg, events)
+    return fixed_stream(cfg, events)
 
 
 class TestCurvePassAgainstPerEventLoop:
@@ -261,13 +262,14 @@ class TestBandedChunks:
 @pytest.mark.parametrize("cap", [50, 300, 1000])
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_banded_scans_match_one_band_scans(cap, seed, monkeypatch):
-    # the same events in one band, one slice: every scan reads all of them
+    # the same events in one band, cut only at 0: every scan reads all of
+    # them in at most two chunks
     cfg = engine.EngineConfig(level_cap=cap, t_start=0.0, t_end=2.0,
                               burn_in=5.0, seed=seed)
     banded = engine.generate_event_stream(cfg)
     with monkeypatch.context() as m:
         m.setattr(stream_module, "FIRST_BAND_TOP", cap)
-        one_band = engine.EventStream(cfg, _fixed=window_events(banded))
+        one_band = FixedStream(cfg, *window_events(banded))
     assert len(one_band._edges) == 2 < len(banded._edges)
     grid = [float(t) for t in np.linspace(2.0, 0.0, 9)]
     pp = [engine.mrca_point_process(x) for x in (banded, one_band)]
@@ -303,7 +305,7 @@ def test_scans_stop_at_level_one(seed):
     cfg = engine.EngineConfig(level_cap=100, t_start=0.0, t_end=10.0,
                               burn_in=15.0, seed=seed)
     stream = engine.generate_event_stream(cfg)
-    a_t = engine.mrca_time(stream, 10.0)
+    a_t = engine.coalescent_curve(stream, 10.0).mrca_time
     assert stream.counters()["slices_generated"] > 0
     assert _slices_below(stream, a_t) == []
     for j in (1, 50, 100):
@@ -355,11 +357,10 @@ class TestQueriesEndOnTheLastDrop:
         events = [(1.0, 1, 2), (2.0, 2, 3), (4.0, 1, 2), (5.0, 3, 4),
                   (6.0, 2, 3), (7.0, 1, 5), (8.0, 4, 6), (8.5, 1, 2)]
         grid = [5.0, 7.5, 8.0, 8.25, 9.0, 9.5, 10.0]
-        fresh = {t: _outcome(engine.EventStream.from_events(cfg, events), t)
-                 for t in grid}
+        fresh = {t: _outcome(fixed_stream(cfg, events), t) for t in grid}
         assert fresh[9.0] == (1.0, 4, "3", 2)
         for order in (grid, grid[::-1], [9.0, 5.0, 10.0, 8.0, 7.5, 9.5, 8.25]):
-            stream = engine.EventStream.from_events(cfg, events)
+            stream = fixed_stream(cfg, events)
             assert {t: _outcome(stream, t) for t in order} == fresh
 
     @settings(max_examples=300, deadline=None, suppress_health_check=fixture_ok)
@@ -371,9 +372,9 @@ class TestQueriesEndOnTheLastDrop:
         cfg = engine.EngineConfig(level_cap=5, t_start=0.0, t_end=6.0,
                                   burn_in=0.0, seed=0)
         events = [(0.5 * k, a, a + b) for k, a, b in raw if a + b <= 5]
-        stream = engine.EventStream.from_events(cfg, events)
+        stream = fixed_stream(cfg, events)
         for k in ticks:
-            fresh = engine.EventStream.from_events(cfg, events)
+            fresh = fixed_stream(cfg, events)
             assert _drops(stream, 0.5 * k) == _drops(fresh, 0.5 * k)
 
     def test_tie_where_the_scans_meet(self):
@@ -383,7 +384,7 @@ class TestQueriesEndOnTheLastDrop:
         cfg = engine.EngineConfig(level_cap=4, t_start=0.0, t_end=10.0,
                                   burn_in=0.0, seed=0)
         events = [(1.0, 1, 2), (3.0, 1, 2), (3.0, 2, 3), (7.0, 1, 2)]
-        stream = engine.EventStream.from_events(cfg, events)
+        stream = fixed_stream(cfg, events)
         assert _drops(stream, 10.0) == (7.0, 3.0, 3.0)
         assert _drops(stream, 5.0) == (3.0, 3.0, 1.0)
 

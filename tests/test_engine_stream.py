@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from lookdown import engine
+from lookdown.engine import _scan
 from lookdown.errors import ConfigurationError, WindowRangeError
 from lookdown.seeding import rng_from
 
-from oracle import events_between, window_events
+from oracle import events_between, fixed_stream, unit_step_scan, window_events
 
 
 def _stream(level_cap=3, t_start=0.0, t_end=100.0, burn_in=0.0, seed=42):
@@ -102,8 +103,7 @@ class TestFixedStream:
     def test_from_events_sorted_dedup(self):
         cfg = engine.EngineConfig(level_cap=3, t_start=0.0, t_end=10.0,
                                   burn_in=0.0, seed=0)
-        st = engine.EventStream.from_events(
-            cfg, [(5.0, 1, 2), (2.0, 1, 3), (5.0, 1, 2)])
+        st = fixed_stream(cfg, [(5.0, 1, 2), (2.0, 1, 3), (5.0, 1, 2)])
         t, s, d = window_events(st)
         assert t.tolist() == [2.0, 5.0]
         assert d.tolist() == [3, 2]
@@ -112,9 +112,38 @@ class TestFixedStream:
         cfg = engine.EngineConfig(level_cap=3, t_start=0.0, t_end=10.0,
                                   burn_in=0.0, seed=0)
         with pytest.raises(ConfigurationError):
-            engine.EventStream.from_events(cfg, [(1.0, 2, 2)])
+            fixed_stream(cfg, [(1.0, 2, 2)])
         with pytest.raises(ConfigurationError):
-            engine.EventStream.from_events(cfg, [(1.0, 1, 4)])
+            fixed_stream(cfg, [(1.0, 1, 4)])
+
+
+    @pytest.mark.parametrize("width", [None, 1.0])
+    def test_grid_line_events_read_once(self, width):
+        # slices hold closed intervals, so an event on a grid line, at 0.0
+        # or, on a unit grid, at any integer, lies in two of them; each is
+        # read once forward, backward and by a scan that starts on it
+        cfg = engine.EngineConfig(level_cap=4, t_start=0.0, t_end=4.0,
+                                  burn_in=2.0, seed=0)
+        events = [(-2.0, 1, 2), (-1.0, 2, 3), (0.0, 1, 2), (0.0, 2, 4),
+                  (1.0, 1, 3), (2.0, 1, 2), (2.0, 3, 4), (3.5, 1, 2),
+                  (4.0, 2, 3)]
+        st = fixed_stream(cfg, events)
+        if width is not None:
+            st._widths = [width] * len(st._widths)
+
+        def as_events(chunks):
+            return [e for c in chunks for e in zip(*(x.tolist() for x in c))]
+
+        assert as_events([window_events(st)]) == events
+        assert as_events([events_between(st, 0.0, 2.0)]) == \
+            [e for e in events if 0.0 <= e[0] <= 2.0]
+        chunks = list(st.iter_chunks(*st.window, reverse=True))
+        assert as_events(chunks[::-1]) == events
+        for t in (0.0, 2.0, 4.0):
+            before = [e for e in events if e[0] <= t][::-1]
+            want = unit_step_scan([e[2] for e in before], 4, -1, 3)
+            assert _scan.backward_drops(st, t)[0].tolist() == \
+                [before[k][0] for k in want]
 
 
 class TestQueriesAndExport:
@@ -122,12 +151,6 @@ class TestQueriesAndExport:
         st = _stream()
         with pytest.raises(WindowRangeError):
             st.require_inside(101.0)
-
-    def test_iter_events_records(self):
-        st = _stream(seed=4)
-        evs = list(st.iter_events(0.0, 5.0))
-        assert all(isinstance(e, engine.LookdownEvent) for e in evs)
-        assert all(0.0 <= e.time <= 5.0 for e in evs)
 
     def test_jsonl_export(self, tmp_path):
         st = _stream(level_cap=4, t_end=20.0, burn_in=5.0, seed=6)

@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -136,9 +137,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("cap", [12, 60, 200])
     def test_final_state_and_samples_follow_the_rows(self, cap):
-        # with no burn-in every transition is a row, so the final state and
-        # each grid sample are the levels of the last row at or before them,
-        # also when the horizon or a sample falls inside the leader's climb
+        # with no burn-in every transition is a row, so each grid sample,
+        # the last one before the horizon included, is the levels of the
+        # last row at or before it, also when it falls inside the leader's
+        # climb; the grid is the running sum 0.37, 0.37 + 0.37, ...
         for seed in range(10):
             cfg = particles.ParticleSimConfig(particle_cap=cap, horizon=50.0,
                                               seed=seed)
@@ -146,9 +148,10 @@ class TestSimulate:
                                      sample_spacing=0.37)
             rows = run.trajectory
             assert run.n_transitions == len(rows)
-            assert run.final_levels == (rows[-1].levels if rows else ())
             times = [ev.time for ev in rows]
-            for s, levels in zip(run.sample_times, run.sample_configs):
+            grid = list(itertools.accumulate([0.37] * len(run.sample_configs)))
+            assert grid[-1] < 50.0 <= grid[-1] + 0.37
+            for s, levels in zip(grid, run.sample_configs):
                 m = bisect.bisect_right(times, s)
                 assert levels == (rows[m - 1].levels if m else ())
 
@@ -167,7 +170,8 @@ class TestSimulate:
                                  sample_spacing=1.0)
         assert all(ev.time >= 0 for ev in run.trajectory)
         assert np.all(run.exits >= 0)
-        assert np.all(np.asarray(run.sample_times) >= 0)
+        # samples at 1, 2, ..., 29: none in the burn-in
+        assert len(run.sample_configs) == 29
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
