@@ -18,8 +18,10 @@ reproduces the output files byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import platform
+import resource
 import secrets
 import sys
 import time
@@ -165,14 +167,16 @@ def cmd_simulate_particles(args) -> int:
     started = time.time()
     _resolve_seed(args)
     out = _out_dir(args)
-    if args.init == "stationary":
-        init = particles.sample_stationary(rng_from(args.seed, "cli-init"))
-    else:
-        init = particles.ParticleConfig.empty()
     cfg = particles.ParticleSimConfig(
         particle_cap=args.cap, horizon=args.horizon, seed=args.seed,
-        init=init, burn_in=args.burn_in)
+        burn_in=args.burn_in)
+    if args.init == "stationary":
+        # pi has unbounded support; a capped system starts below its cap
+        cfg = dataclasses.replace(cfg, init=particles.sample_stationary(
+            rng_from(args.seed, "cli-init"), below=cfg.particle_cap))
+    sim_started = time.perf_counter()
     run = particles.simulate(cfg, record_trajectory=not args.no_trajectory)
+    sim_seconds = time.perf_counter() - sim_started
     outputs: list[Path] = []
 
     exits_path = out / "exits.csv"
@@ -195,12 +199,19 @@ def cmd_simulate_particles(args) -> int:
     outputs.append(_write_manifest(out, "simulate-particles", args, {
         "particle_cap": cfg.particle_cap, "horizon": cfg.horizon,
         "burn_in": cfg.burn_in, "init": args.init,
-        "init_levels": list(init.levels),
+        "init_levels": list(cfg.init.levels),
         "exit_time_bias": run.exit_time_bias,
-    }, outputs, started))
+    }, outputs, started, metrics={
+        "transitions": run.n_transitions, "exits": int(run.exits.size),
+        "flights": run.n_flights, "segments": run.n_segments,
+        "simulate_seconds": round(sim_seconds, 3),
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
     print(f"simulate-particles: cap={cfg.particle_cap} horizon={cfg.horizon} "
-          f"seed={args.seed} init={args.init}{list(init.levels)}")
-    print(f"  exits: {run.exits.size}, transitions: {run.n_transitions}, "
+          f"seed={args.seed} init={args.init}{list(cfg.init.levels)}")
+    print(f"  exits: {run.exits.size}, transitions drawn: "
+          f"{run.n_transitions} (leaders in flight: {run.n_flights}), "
           f"per-exit truncation bias: {run.exit_time_bias:g}")
     if summary is not None:
         print(f"  mean gap {summary.mean_gap:.4f}, KS vs Exp(1) "

@@ -21,7 +21,7 @@ from .tables import INF, PmfTable, table_from_pairs
 # Truncating S_i^j sums at K* = 512 leaves a tail whose variance
 # sum_{k>K*} (2/(k(k-1)))^2 ~ 4/(3 K*^3) is below 1e-8; the tail is then
 # added as its exact mean 2/K*, so sampled sums are mean-unbiased.
-_TAIL_CUTOFF = 512
+K_STAR = 512
 
 
 def comb2(n: int) -> int:
@@ -226,7 +226,7 @@ def sample_S_batch(start: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if start.size and np.any(start < 1):
         raise DomainError("starts must be >= 1")
     out = np.empty(start.shape, dtype=np.float64)
-    high = start >= _TAIL_CUTOFF
+    high = start >= K_STAR
     out[high] = 2.0 / start[high]  # whole sum replaced by its mean
     low_idx = np.nonzero(~high)[0]
     if low_idx.size == 0:
@@ -234,10 +234,10 @@ def sample_S_batch(start: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     low = start[low_idx]
     order = np.argsort(low, kind="stable")
     sorted_start = low[order]
-    total_sorted = np.full(low.shape, 2.0 / _TAIL_CUTOFF, dtype=np.float64)
+    total_sorted = np.full(low.shape, 2.0 / K_STAR, dtype=np.float64)
     # walk k upward; the samples needing T_k are those with start < k,
     # i.e. the sorted prefix [:first]
-    for k in range(int(sorted_start.min()) + 1, _TAIL_CUTOFF + 1):
+    for k in range(int(sorted_start.min()) + 1, K_STAR + 1):
         first = int(np.searchsorted(sorted_start, k, side="left"))
         if first == 0:
             continue

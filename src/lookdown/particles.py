@@ -14,11 +14,31 @@ the empty one included.  ``_solo_climb`` draws the leader's solo pushes in
 vectorized chunks against one exponential clock carrying every other
 transition (total rate c2 = C(l2+1, 2), arrivals included; with no leader
 the climb is empty and c2 = 1).  A segment ends at that clock, at the
-climb's last push into the cap, or at the horizon; its grid samples read
-the leader off the climb, and one recorder writes its pushes and the
-transition that ends it.  This is law-identical to event-by-event stepping
-and keeps long runs cheap even with the default cap of 10^4.  A state out
-of order raises ``InternalError`` (exit status 4 from the CLI).
+climb's last push into its top, at the exit epoch of a leader in flight
+(below), or at the horizon; its grid samples read the leader off the
+climb, and one recorder writes its pushes and the transition that ends
+it.  A state out of order raises ``InternalError`` (exit status 4 from
+the CLI).
+
+Leaders in flight.  The leader is pushed at total rate C(l+1, 2)
+whatever the others do, and the particles below it form the same system
+on their own.  So a leader at level l >= K_STAR = 512 (the cutoff of
+``laws.sample_S_batch``) leaves ``levels`` and is put in flight: it
+exits at t + 2/l - 2/cap, the mean of its pure-birth climb S_{l->cap} to
+the cap, and the loop runs on over the particles below it.  A later
+flight starts no higher, so flights exit in the order they start.  When
+the cap - K_STAR levels from K_STAR up are all in flight and the next
+leader reaches K_STAR, the oldest flight exits at once: in the exact
+system the push that lifted that leader carries the highest particle
+over the cap.  Otherwise the only error is the climb's spread about its
+mean: per exit a variance sum_{m >= K_STAR} (2/(m(m+1)))^2 < 1e-8, the
+bound ``laws.sample_S_batch`` accepts for S.  A grid sample or exit
+configuration taken while a leader is in flight draws that leader's
+level from the pure-birth climb out of its flight's start level, kept
+above the particle below it and below the cap.  With
+``record_trajectory``, or a cap of at most K_STAR, the climb tops out at
+the cap, no leader flies, and the run is law-identical to event-by-event
+stepping.
 """
 
 from __future__ import annotations
@@ -33,7 +53,7 @@ import numpy as np
 
 from . import stats
 from .errors import ConfigurationError, InternalError, SampleSizeError
-from .laws import comb2
+from .laws import K_STAR, comb2
 from .seeding import rng_from
 
 
@@ -111,7 +131,10 @@ class ParticleRunResult:
     sample_configs      the configuration at spacing, 2 spacing, ... below
                         the horizon, when sampled; verify tests it against
                         pi_Lambda and the law of Z
-    n_transitions       transitions made, burn-in included; the CLI prints it
+    n_transitions       transitions the loop drew, burn-in included (not
+                        the pushes of leaders in flight); the CLI prints it
+    n_flights           leaders put in flight; the CLI's manifest
+    n_segments          loop segments; the CLI's manifest
     exit_time_bias      the analytic per-exit truncation bias 2/cap (mean
                         residual climb time above the cap), for the manifest
     """
@@ -121,22 +144,24 @@ class ParticleRunResult:
     exit_configs: list[tuple[int, ...]]
     sample_configs: list[tuple[int, ...]] | None
     n_transitions: int
+    n_flights: int
+    n_segments: int
     exit_time_bias: float
 
 
-def _solo_climb(rng: np.random.Generator, level: int, cap: int, c2: int,
+def _solo_climb(rng: np.random.Generator, level: int, top: int, c2: int,
                 budget: float) -> np.ndarray:
     """Cumulative times, from now, of the leader's solo pushes out of
     ``level``, ``level + 1``, ... (rate C(l+1, 2) - c2 out of level l).
 
     Exponentials are drawn in chunks (64, then x8 up to 2^16) until the
-    climb passes ``budget`` or reaches ``cap``; empty when level >= cap.
+    climb passes ``budget`` or reaches ``top``; empty when level >= top.
     """
     cums: list[np.ndarray] = []
     total = 0.0
     chunk = 64
-    while level < cap and total <= budget:
-        hi = min(cap, level + chunk)
+    while level < top and total <= budget:
+        hi = min(top, level + chunk)
         ls = np.arange(level, hi, dtype=np.float64)
         rates = ls * (ls + 1.0) / 2.0 - c2
         seg = total + np.cumsum(rng.standard_exponential(hi - level) / rates)
@@ -147,61 +172,110 @@ def _solo_climb(rng: np.random.Generator, level: int, cap: int, c2: int,
     return np.concatenate(cums) if cums else np.empty(0)
 
 
+def _in_flight(rng: np.random.Generator,
+               flights: list[tuple[float, int, float]], s: float,
+               floor: int, cap: int) -> tuple[int, ...]:
+    """Levels at time ``s`` of the leaders in flight, highest first.
+
+    Each is drawn from the pure-birth climb at rates C(m+1, 2) out of its
+    flight's start level, then kept above the particle below it (level
+    ``floor``, 1 for none) and below the cap.
+    """
+    below = floor
+    levels = []
+    for start, level, _ in reversed(flights):   # the newest flies lowest
+        cum = _solo_climb(rng, level, cap, 0, s - start)
+        floor = max(level + int(np.searchsorted(cum, s - start, side="right")),
+                    floor + 1)
+        levels.append(floor)
+    ceiling = cap
+    for m in reversed(range(len(levels))):
+        ceiling = levels[m] = min(levels[m], ceiling - 1)
+    if levels and levels[0] <= below:
+        raise InternalError(f"no room below the cap {cap} for "
+                            f"{len(levels)} leaders in flight over {below}")
+    return tuple(reversed(levels))
+
+
 def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
              sample_spacing: float | None = None) -> ParticleRunResult:
     """Run the system on [0, horizon] (preceded by burn_in), seed-determined.
 
     The fresh-start law is not specified by the theory; the default is the
     empty configuration, with ``burn_in`` and/or a ``sample_stationary``
-    init available for stationary statistics.
+    init available for stationary statistics.  Leaders fly above K_STAR
+    unless the trajectory is recorded (module docstring).
     """
     if sample_spacing is not None and sample_spacing <= 0:
         raise ConfigurationError("sample_spacing must be positive")
     rng = rng_from(config.seed, "particles")
     cap = config.particle_cap
+    top = cap if record_trajectory or cap <= K_STAR else K_STAR
+    # flight levels have a stream of their own, so reading them moves no
+    # exit
+    flight_rng = rng_from(config.seed, "particles", "flights")
     horizon = float(config.horizon)
     t = -float(config.burn_in)
     levels: list[int] = list(config.init.levels)
+    flights: list[tuple[float, int, float]] = []   # (start, level, exit epoch)
     exits: list[float] = []
     exit_configs: list[tuple[int, ...]] = []
     trajectory: list[TransitionEvent] | None = [] if record_trajectory else None
     next_sample = sample_spacing if sample_spacing is not None else math.inf
     sample_configs: list[tuple[int, ...]] = []
-    n_transitions = 0
+    n_transitions = n_flights = n_segments = 0
 
     while t < horizon:
+        # a flight exits at its epoch, or now when it holds a level the
+        # leader below needs (module docstring)
+        while flights and (flights[0][2] <= t or (
+                len(flights) == cap - top and levels and levels[0] >= top)):
+            flights.pop(0)
+            if t >= 0.0:
+                exits.append(t)
+                exit_configs.append(
+                    _in_flight(flight_rng, flights, t,
+                               levels[0] if levels else 1, cap)
+                    + tuple(levels))
+        while levels and levels[0] >= top:     # only when top < cap
+            l = levels.pop(0)
+            flights.append((t, l, t + 2.0 / l - 2.0 / cap))
+            n_flights += 1
+        n_segments += 1
         rest = levels[1:]
         below = rest + [1]      # the level under each particle: l_2, ..., 1
         for a, b in zip(levels, below):
             if b >= a:
                 raise InternalError(f"particle order violated: {levels}")
-        l1 = levels[0] if levels else cap       # no leader: an empty climb
+        l1 = levels[0] if levels else top       # no leader: an empty climb
         c2 = comb2(below[0] + 1)                # rate of all but solo pushes
         t_other = float(rng.exponential(1.0 / c2))
-        budget = min(t_other, horizon - t)
-        cum = _solo_climb(rng, l1, cap, c2, budget)
+        t_land = flights[0][2] - t if flights else math.inf
+        budget = min(t_other, t_land, horizon - t)
+        cum = _solo_climb(rng, l1, top, c2, budget)
         n = int(np.searchsorted(cum, budget, side="right"))
-        solo_exit = bool(levels) and n == cap - l1
-        if solo_exit:
-            n -= 1      # the climb's last push is the transition that exits
-        dt = float(cum[-1]) if solo_exit else budget
+        solo_top = bool(levels) and n == top - l1
+        if solo_top:
+            n -= 1      # the climb's last push is the transition that ends it
+        dt = float(cum[-1]) if solo_top else budget
 
         while next_sample < t + dt:
             lead = l1 + int(np.searchsorted(cum, next_sample - t, side="right"))
-            sample_configs.append((lead, *rest) if levels else ())
+            sample_configs.append(
+                _in_flight(flight_rng, flights, next_sample,
+                           lead if levels else 1, cap)
+                + ((lead, *rest) if levels else ()))
             next_sample += sample_spacing
         start = t
         n_transitions += n
         if n:
             levels[0] += n
-        at_horizon = not solo_exit and t_other > budget
-        if at_horizon:
-            t = horizon
-        else:
+        drawn = solo_top or t_other == budget
+        if drawn:
             t += dt
             n_transitions += 1
-            kind, k = ("push", 1) if solo_exit else ("arrival", None)
-            if levels and not solo_exit:
+            kind, k = ("push", 1) if solo_top else ("arrival", None)
+            if levels and not solo_top:
                 # pushes of 1..j, j >= 2, at C(l_j+1, 2) - C(l_{j+1}+1, 2):
                 # the rates telescope from c2, and an arrival takes the last 1
                 u = rng.random() * c2
@@ -220,10 +294,14 @@ def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
                 if t >= 0.0:
                     exits.append(t)
                     exit_configs.append(tuple(levels))
+        elif t_land == budget:
+            t = flights[0][2]       # the flight exits at the top of the loop
+        else:
+            t = horizon
         if trajectory is not None:
             rows = [(start + float(cum[m]), "push", 1, (l1 + m + 1, *rest))
                     for m in range(n)]
-            if not at_horizon:
+            if drawn:
                 rows.append((t, kind, k, tuple(levels)))
             trajectory.extend(TransitionEvent(*row) for row in rows
                               if row[0] >= 0.0)
@@ -234,6 +312,8 @@ def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
         exit_configs=exit_configs,
         sample_configs=sample_configs if sample_spacing is not None else None,
         n_transitions=n_transitions,
+        n_flights=n_flights,
+        n_segments=n_segments,
         exit_time_bias=2.0 / cap)
 
 
@@ -249,15 +329,17 @@ def _draw_base(rng: np.random.Generator, below: int | None = None) -> int:
     return int(2.0 / (1.0 - u)) - 1
 
 
-def sample_stationary(rng: np.random.Generator) -> ParticleConfig:
-    """One exact draw from pi_Lambda.
+def sample_stationary(rng: np.random.Generator,
+                      below: int | None = None) -> ParticleConfig:
+    """One exact draw from pi_Lambda, or from pi_Lambda conditioned on a
+    leading level under ``below``.
 
     The leading level follows 2/((l+1)(l+2)); each next level repeats the
     same base law conditioned below its predecessor; a drawn 1 stops the
     chain (that particle slot is empty).
     """
     levels: list[int] = []
-    l = _draw_base(rng)
+    l = _draw_base(rng, below)
     while l > 1:
         levels.append(l)
         l = _draw_base(rng, below=l)

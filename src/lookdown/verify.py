@@ -134,10 +134,16 @@ def check_dual_methods(p: dict, seed: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 # criterion 3: particle-system equilibrium
 
+# one shared tuple per cell, so a list of n cells holds n pointers; the
+# cells are bounded (131 with "other"), and so is this dict
+_CELLS: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
 def _config_cell(levels):
     # the cells of pi_table(10, 3), and "other" for the rest
     if len(levels) <= 3 and (not levels or levels[0] <= 10):
-        return tuple(levels)
+        cell = tuple(levels)
+        return _CELLS.setdefault(cell, cell)
     return "other"
 
 

@@ -90,6 +90,16 @@ class TestSimulateParticles:
         traj = (tmp_path / "trajectory.jsonl").read_text().splitlines()
         row = json.loads(traj[0])
         assert row.keys() == {"t", "kind", "k", "levels"}
+        metrics = manifest["metrics"]
+        assert metrics.keys() == {"transitions", "exits", "flights",
+                                  "segments", "simulate_seconds",
+                                  "peak_rss_mb"}
+        # no burn-in: every transition is a trajectory row; a recorded
+        # trajectory keeps every leader on the exact climb
+        assert metrics["transitions"] == len(traj)
+        assert metrics["exits"] == len(exits) - 1
+        assert metrics["flights"] == 0 < metrics["segments"]
+        assert metrics["peak_rss_mb"] > 0
 
     def test_reproducible_byte_for_byte(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -109,9 +119,18 @@ class TestSimulateParticles:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["init"] == "stationary"
 
+    def test_stationary_init_starts_below_the_cap(self, tmp_path):
+        # this seed's unconditioned stationary draw has its leader above 200
+        code = run_cli(["simulate-particles", "--horizon", "300",
+                        "--cap", "200", "--init", "stationary", "--seed", "7",
+                        "--out", str(tmp_path), "--no-trajectory"])
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert 0 < manifest["config"]["init_levels"][0] < 200
+
     def test_broken_invariant_is_internal_error(self, tmp_path, capsys,
                                                 monkeypatch):
-        def out_of_order(rng):
+        def out_of_order(rng, below=None):
             init = particles.ParticleConfig((5, 3, 2))
             object.__setattr__(init, "levels", (3, 3, 3))
             return init

@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import itertools
 import math
 import warnings
@@ -6,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from lookdown import engine, laws, particles, stats
 from lookdown.errors import ConfigurationError, InternalError, SampleSizeError
@@ -178,6 +180,119 @@ class TestSimulate:
             particles.ParticleSimConfig(particle_cap=5, horizon=10.0, seed=0)
         with pytest.raises(ConfigurationError):
             particles.ParticleSimConfig(particle_cap=100, horizon=-1.0, seed=0)
+
+
+def _digest(run) -> str:
+    h = hashlib.sha256(run.exits.tobytes())
+    for part in (run.exit_configs, run.sample_configs, run.n_transitions,
+                 run.trajectory):
+        h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+class TestFlights:
+    # digests of these runs made before leaders could fly: no leader flies
+    # at a cap of at most K_STAR or with the trajectory recorded, and the
+    # runs stay the same to the bit
+    @pytest.mark.parametrize("cap, horizon, seed, init, record, digest", [
+        (12, 200.0, 1, (), False,
+         "9f4f37dd8f9ec328bb9460dff5f7525969b5cfc49baf7204694d885e80582496"),
+        (200, 200.0, 2, (150, 7, 2), False,
+         "44997267efd47f9aab588a5675ec1058837ff4f04d7bd4c17d515b12c3b5ffe1"),
+        (512, 200.0, 3, (511, 40, 3), False,
+         "030baabb75c697051763e880851169ea901530060731c091391961de26c72076"),
+        (2000, 20.0, 4, (1999, 600, 5), True,
+         "b8eef1fd5e2043cee078aafec747d951f89eeebf55ca3254915fb5a1929b3f5e"),
+    ])
+    def test_runs_without_flights_are_unchanged(self, cap, horizon, seed,
+                                                init, record, digest):
+        cfg = particles.ParticleSimConfig(
+            particle_cap=cap, horizon=horizon, seed=seed, burn_in=5.0,
+            init=particles.ParticleConfig(init))
+        run = particles.simulate(cfg, record_trajectory=record,
+                                 sample_spacing=0.37)
+        assert run.n_flights == 0
+        assert _digest(run) == digest
+
+    @pytest.mark.parametrize("cap", [600, 2000, 10_000])
+    def test_invariants_with_flights(self, cap):
+        flying = 0
+        for seed in range(4):
+            init = particles.sample_stationary(rng_from(seed, "init"),
+                                               below=cap)
+            cfg = particles.ParticleSimConfig(particle_cap=cap, horizon=300.0,
+                                              seed=seed, burn_in=10.0,
+                                              init=init)
+            run = particles.simulate(cfg, sample_spacing=0.37)
+            e = run.exits
+            assert np.all(np.diff(e) > 0) and 0.0 <= e[0] and e[-1] <= 300.0
+            assert run.n_flights >= e.size > 200
+            assert len(run.exit_configs) == e.size
+            for c in run.exit_configs + run.sample_configs:
+                assert all(a > b for a, b in zip(c, c[1:]))
+                assert not c or (c[0] < cap and c[-1] >= 2)
+            grid = list(itertools.accumulate([0.37] * len(run.sample_configs)))
+            assert grid[-1] < 300.0 <= grid[-1] + 0.37
+            flying += sum(1 for c in run.exit_configs + run.sample_configs
+                          if c and c[0] >= particles.K_STAR)
+            # flight levels draw from a stream of their own
+            assert np.array_equal(particles.simulate(cfg).exits, e)
+        assert flying > 0       # configurations that read a leader in flight
+
+    def test_flight_exits_at_the_mean_climb_time(self):
+        # both leaders fly from time 0; each exits after 2/l - 2/cap, and
+        # the one still flying stays in the first post-exit configuration
+        init = particles.ParticleConfig((1500, 700, 3))
+        cfg = particles.ParticleSimConfig(particle_cap=2000, horizon=1.0,
+                                          seed=5, init=init)
+        run = particles.simulate(cfg)
+        assert run.exits[:2].tolist() == [2.0 / 1500 - 2.0 / 2000,
+                                          2.0 / 700 - 2.0 / 2000]
+        assert 700 <= run.exit_configs[0][0] < 2000
+        assert run.exit_configs[1][0] < particles.K_STAR
+
+    def test_crowded_flights_stay_below_the_cap(self):
+        # at cap 513 one level (512) holds a flight; a second leader
+        # reaching 512 makes the flight above it exit at once, so every
+        # configuration keeps its particles apart and below the cap
+        init = particles.ParticleConfig((512, 511, 510, 509))
+        early = 0
+        for seed in range(10):
+            cfg = particles.ParticleSimConfig(particle_cap=513, horizon=0.01,
+                                              seed=seed, init=init)
+            run = particles.simulate(cfg, sample_spacing=1e-6)
+            assert np.all(np.diff(run.exits) > 0)
+            for c in run.exit_configs + run.sample_configs:
+                assert all(a > b for a, b in zip(c, c[1:]))
+                assert not c or c[0] < 513
+            # an early exit leaves the leader that forced it at 512
+            early += sum(1 for c in run.exit_configs if c and c[0] == 512)
+        assert early > 0
+
+    def test_flights_match_exact_climbs(self, monkeypatch):
+        # cap 2000, flights against exact climbs (K_STAR above the cap):
+        # exit gaps by two-sample KS, post-exit cells by two-sample chi2,
+        # keeping exits at least 5 apart as criterion 3 does
+        def runs(seeds):
+            gaps, cells = [], []
+            for seed in seeds:
+                cfg = particles.ParticleSimConfig(
+                    particle_cap=2000, horizon=2500.0, seed=seed, burn_in=30.0)
+                run = particles.simulate(cfg)
+                gaps.append(np.diff(run.exits))
+                last = -math.inf
+                for e, c in zip(run.exits.tolist(), run.exit_configs):
+                    if e - last >= 5.0:
+                        cells.append(c if (len(c) <= 3 and (not c or c[0] <= 8))
+                                     else "other")
+                        last = e
+            return np.concatenate(gaps), cells
+
+        flight_gaps, flight_cells = runs([41, 42])
+        monkeypatch.setattr(particles, "K_STAR", 10**9)
+        exact_gaps, exact_cells = runs([43, 44])
+        assert scipy.stats.ks_2samp(flight_gaps, exact_gaps).pvalue > 0.001
+        assert chi_square_two_sample(flight_cells, exact_cells).passed
 
 
 class TestStationarySampler:
