@@ -32,8 +32,8 @@ import numpy as np
 import scipy
 
 from . import __version__, engine, laws, particles, verify, zlaw
-from .errors import (InternalError, LookdownError, StationarityWarning,
-                     ValidationError)
+from .errors import (ConfigurationError, InternalError, LookdownError,
+                     StationarityWarning, ValidationError)
 from .seeding import rng_from
 
 ENV_OUT = "LOOKDOWN_OUT"
@@ -85,6 +85,12 @@ def _write_manifest(out: Path, command: str, args: argparse.Namespace,
     return path
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB."""
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss    # on Linux
+    return round(kib / 1024, 1)
+
+
 def _warning_summary(caught) -> dict:
     """Count and first message per warning category; StationarityWarning
     is always listed."""
@@ -102,8 +108,11 @@ def _warning_summary(caught) -> dict:
 
 def cmd_simulate_lookdown(args) -> int:
     started = time.time()
+    if args.sample_spacing <= 0:
+        raise ConfigurationError("--sample-spacing must be positive")
     _resolve_seed(args)
     out = _out_dir(args)
+    sim_started = time.perf_counter()
     cfg = engine.EngineConfig(level_cap=args.levels, t_start=args.t_start,
                               t_end=args.t_end, burn_in=args.burn_in,
                               seed=args.seed)
@@ -115,6 +124,7 @@ def cmd_simulate_lookdown(args) -> int:
         points = engine.mrca_point_process(stream)
         grid = np.arange(cfg.t_start, cfg.t_end, args.sample_spacing)
         obs = [engine.observables_at(stream, float(t)) for t in grid]
+    sim_seconds = time.perf_counter() - sim_started
     points_path = out / "mrca_points.csv"
     engine.export_points_csv(points, points_path)
     outputs.append(points_path)
@@ -145,8 +155,9 @@ def cmd_simulate_lookdown(args) -> int:
         "level_cap": cfg.level_cap, "t_start": cfg.t_start,
         "t_end": cfg.t_end, "burn_in": cfg.burn_in,
         "sample_spacing": args.sample_spacing, "format": args.format,
-    }, outputs, started, metrics=stream.counters(),
-        warnings=_warning_summary(caught)))
+    }, outputs, started, metrics={
+        **stream.counters(), "simulate_seconds": round(sim_seconds, 3),
+        "peak_rss_mb": _peak_rss_mb()}, warnings=_warning_summary(caught)))
     depth = [row["t"] - row["A"] for row in obs_rows]
     print(f"simulate-lookdown: levels={cfg.level_cap} window="
           f"[{cfg.t_start}, {cfg.t_end}] seed={args.seed}")
@@ -174,18 +185,21 @@ def cmd_simulate_particles(args) -> int:
         # pi has unbounded support; a capped system starts below its cap
         cfg = dataclasses.replace(cfg, init=particles.sample_stationary(
             rng_from(args.seed, "cli-init"), below=cfg.particle_cap))
-    sim_started = time.perf_counter()
-    run = particles.simulate(cfg, record_trajectory=not args.no_trajectory)
-    sim_seconds = time.perf_counter() - sim_started
-    outputs: list[Path] = []
-
     exits_path = out / "exits.csv"
-    particles.export_exits_csv(run.exits, exits_path)
-    outputs.append(exits_path)
-    if run.trajectory is not None:
+    outputs = [exits_path]
+    sim_started = time.perf_counter()
+    if args.no_trajectory:
+        run = particles.simulate(cfg)
+    else:
         traj_path = out / "trajectory.jsonl"
-        particles.export_trajectory_jsonl(run.trajectory, traj_path)
+        with open(traj_path, "w") as fh:
+            def write(ev: particles.TransitionEvent) -> None:
+                fh.write(json.dumps({"t": ev.time, "kind": ev.kind, "k": ev.k,
+                                     "levels": list(ev.levels)}) + "\n")
+            run = particles.simulate(cfg, trajectory=write)
         outputs.append(traj_path)
+    sim_seconds = time.perf_counter() - sim_started
+    particles.export_exits_csv(run.exits, exits_path)
 
     summary = None
     if run.exits.size >= 100:
@@ -205,9 +219,7 @@ def cmd_simulate_particles(args) -> int:
         "transitions": run.n_transitions, "exits": int(run.exits.size),
         "flights": run.n_flights, "segments": run.n_segments,
         "simulate_seconds": round(sim_seconds, 3),
-        # ru_maxrss is in KiB on Linux
-        "peak_rss_mb": round(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
+        "peak_rss_mb": _peak_rss_mb()}))
     print(f"simulate-particles: cap={cfg.particle_cap} horizon={cfg.horizon} "
           f"seed={args.seed} init={args.init}{list(cfg.init.levels)}")
     print(f"  exits: {run.exits.size}, transitions drawn: "
@@ -298,8 +310,7 @@ def cmd_verify(args) -> int:
     started = time.time()
     _resolve_seed(args)
     out = _out_dir(args)
-    only = [int(x) for x in args.criteria.split(",")] if args.criteria else None
-    suite = verify.run_suite(args.profile, seed=args.seed, only=only,
+    suite = verify.run_suite(args.profile, seed=args.seed, only=args.criteria,
                              echo=print)
     report_path = out / "verify_report.json"
     with open(report_path, "w") as fh:
@@ -315,6 +326,11 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+def criteria(text: str) -> list[int]:
+    """Criterion numbers from "3,5" (argparse names the type in its error)."""
+    return [int(x) for x in text.split(",")]
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -368,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=["quick", "full"], default="quick")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--criteria", type=str, default=None,
+    p.add_argument("--criteria", type=criteria, default=None,
                    help="comma-separated criterion numbers to run")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -14,40 +14,40 @@ the empty one included.  ``_solo_climb`` draws the leader's solo pushes in
 vectorized chunks against one exponential clock carrying every other
 transition (total rate c2 = C(l2+1, 2), arrivals included; with no leader
 the climb is empty and c2 = 1).  A segment ends at that clock, at the
-climb's last push into its top, at the exit epoch of a leader in flight
-(below), or at the horizon; its grid samples read the leader off the
-climb, and one recorder writes its pushes and the transition that ends
-it.  A state out of order raises ``InternalError`` (exit status 4 from
-the CLI).
+climb's last push into its top, at the landing epoch of a leader in
+flight (below), or at the horizon; its grid samples read the leader off
+the climb, and one recorder writes its pushes and the transition that
+ends it.  A state out of order raises ``InternalError`` (exit status 4
+from the CLI).
 
-Leaders in flight.  The leader is pushed at total rate C(l+1, 2)
-whatever the others do, and the particles below it form the same system
-on their own.  So a leader at level l >= K_STAR = 512 (the cutoff of
-``laws.sample_S_batch``) leaves ``levels`` and is put in flight: it
-exits at t + 2/l - 2/cap, the mean of its pure-birth climb S_{l->cap} to
-the cap, and the loop runs on over the particles below it.  A later
-flight starts no higher, so flights exit in the order they start.  When
-the cap - K_STAR levels from K_STAR up are all in flight and the next
-leader reaches K_STAR, the oldest flight exits at once: in the exact
-system the push that lifted that leader carries the highest particle
-over the cap.  Otherwise the only error is the climb's spread about its
-mean: per exit a variance sum_{m >= K_STAR} (2/(m(m+1)))^2 < 1e-8, the
-bound ``laws.sample_S_batch`` accepts for S.  A grid sample or exit
-configuration taken while a leader is in flight draws that leader's
-level from the pure-birth climb out of its flight's start level, kept
-above the particle below it and below the cap.  With
-``record_trajectory``, or a cap of at most K_STAR, the climb tops out at
-the cap, no leader flies, and the run is law-identical to event-by-event
-stepping.
+Every exit is a flight that lands.  The leader is pushed at total rate
+C(l+1, 2) whatever the others do, and the particles below it form the
+same system on their own.  So a leader at level l >= top leaves
+``levels`` and flies to the epoch t + 2/l - 2/cap, the mean of its
+pure-birth climb S_{l->cap} to the cap, while the loop runs on below it.
+A later flight starts no higher, so flights land in the order they
+start, and one rule lands them: at the epoch, or at once when more fly
+than the cap - top levels from the top up hold.  With ``trajectory``,
+or a cap of at most K_STAR = 512, the top is the cap: a leader at the
+cap lands at once, the exact exit and jump-back, and the run is
+law-identical to event-by-event stepping.  Otherwise the top is K_STAR,
+the cutoff of ``laws.sample_S_batch``, and the only error is the climb's
+spread about its mean: per exit a variance sum_{m >= K_STAR}
+(2/(m(m+1)))^2 < 1e-8, the bound that sampler accepts for S.  A landing
+forced by full levels is the exact system's push that lifts the newest
+leader to K_STAR and carries the highest particle over the cap.  A grid
+sample or exit configuration taken while a leader is in flight draws its
+level from the pure-birth climb out of the flight's start level, kept
+above the particle below it and below the cap.
 """
 
 from __future__ import annotations
 
 import csv
-import json
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -123,8 +123,6 @@ class ParticleRunResult:
 
     exits               exit times in [0, horizon]; the CLI writes them,
                         and verify tests their gaps against Exp(1)
-    trajectory          every transition at or after time 0, when recorded;
-                        the CLI writes it, and verify replays the jump-back
     exit_configs        exit_configs[m] is the configuration just after exit
                         m (jump-back applied), the state in which a new MRCA
                         is established; verify tests it against pi_Lambda
@@ -133,14 +131,13 @@ class ParticleRunResult:
                         pi_Lambda and the law of Z
     n_transitions       transitions the loop drew, burn-in included (not
                         the pushes of leaders in flight); the CLI prints it
-    n_flights           leaders put in flight; the CLI's manifest
+    n_flights           leaders that flew from below the cap; the manifest
     n_segments          loop segments; the CLI's manifest
     exit_time_bias      the analytic per-exit truncation bias 2/cap (mean
                         residual climb time above the cap), for the manifest
     """
 
     exits: np.ndarray
-    trajectory: list[TransitionEvent] | None
     exit_configs: list[tuple[int, ...]]
     sample_configs: list[tuple[int, ...]] | None
     n_transitions: int
@@ -197,22 +194,22 @@ def _in_flight(rng: np.random.Generator,
     return tuple(reversed(levels))
 
 
-def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
+def simulate(config: ParticleSimConfig, *,
+             trajectory: Callable[[TransitionEvent], object] | None = None,
              sample_spacing: float | None = None) -> ParticleRunResult:
     """Run the system on [0, horizon] (preceded by burn_in), seed-determined.
 
     The fresh-start law is not specified by the theory; the default is the
     empty configuration, with ``burn_in`` and/or a ``sample_stationary``
-    init available for stationary statistics.  Leaders fly above K_STAR
-    unless the trajectory is recorded (module docstring).
+    init available for stationary statistics.  ``trajectory``, if given,
+    gets each ``TransitionEvent`` at or after time 0 as it is drawn.
     """
     if sample_spacing is not None and sample_spacing <= 0:
         raise ConfigurationError("sample_spacing must be positive")
     rng = rng_from(config.seed, "particles")
     cap = config.particle_cap
-    top = cap if record_trajectory or cap <= K_STAR else K_STAR
-    # flight levels have a stream of their own, so reading them moves no
-    # exit
+    top = cap if trajectory is not None or cap <= K_STAR else K_STAR
+    # flight levels draw from a stream of their own: reading them moves no exit
     flight_rng = rng_from(config.seed, "particles", "flights")
     horizon = float(config.horizon)
     t = -float(config.burn_in)
@@ -220,16 +217,18 @@ def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
     flights: list[tuple[float, int, float]] = []   # (start, level, exit epoch)
     exits: list[float] = []
     exit_configs: list[tuple[int, ...]] = []
-    trajectory: list[TransitionEvent] | None = [] if record_trajectory else None
     next_sample = sample_spacing if sample_spacing is not None else math.inf
     sample_configs: list[tuple[int, ...]] = []
     n_transitions = n_flights = n_segments = 0
 
     while t < horizon:
-        # a flight exits at its epoch, or now when it holds a level the
-        # leader below needs (module docstring)
-        while flights and (flights[0][2] <= t or (
-                len(flights) == cap - top and levels and levels[0] >= top)):
+        # the leader at the top flies; a flight lands at its epoch, or now
+        # when more fly than the levels above the top hold (module docstring)
+        while levels and levels[0] >= top:
+            l = levels.pop(0)
+            flights.append((t, l, t + 2.0 / l - 2.0 / cap))
+            n_flights += l < cap
+        while flights and (flights[0][2] <= t or len(flights) > cap - top):
             flights.pop(0)
             if t >= 0.0:
                 exits.append(t)
@@ -237,10 +236,6 @@ def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
                     _in_flight(flight_rng, flights, t,
                                levels[0] if levels else 1, cap)
                     + tuple(levels))
-        while levels and levels[0] >= top:     # only when top < cap
-            l = levels.pop(0)
-            flights.append((t, l, t + 2.0 / l - 2.0 / cap))
-            n_flights += 1
         n_segments += 1
         rest = levels[1:]
         below = rest + [1]      # the level under each particle: l_2, ..., 1
@@ -254,10 +249,8 @@ def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
         budget = min(t_other, t_land, horizon - t)
         cum = _solo_climb(rng, l1, top, c2, budget)
         n = int(np.searchsorted(cum, budget, side="right"))
-        solo_top = bool(levels) and n == top - l1
-        if solo_top:
-            n -= 1      # the climb's last push is the transition that ends it
-        dt = float(cum[-1]) if solo_top else budget
+        climbed = n == top - l1 > 0     # the leader's last push hit the top
+        dt = float(cum[-1]) if climbed else budget
 
         while next_sample < t + dt:
             lead = l1 + int(np.searchsorted(cum, next_sample - t, side="right"))
@@ -266,16 +259,14 @@ def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
                            lead if levels else 1, cap)
                 + ((lead, *rest) if levels else ()))
             next_sample += sample_spacing
-        start = t
         n_transitions += n
         if n:
             levels[0] += n
-        drawn = solo_top or t_other == budget
+        drawn = not climbed and t_other == budget
         if drawn:
-            t += dt
             n_transitions += 1
-            kind, k = ("push", 1) if solo_top else ("arrival", None)
-            if levels and not solo_top:
+            kind, k = "arrival", None
+            if levels:
                 # pushes of 1..j, j >= 2, at C(l_j+1, 2) - C(l_{j+1}+1, 2):
                 # the rates telescope from c2, and an arrival takes the last 1
                 u = rng.random() * c2
@@ -287,28 +278,23 @@ def simulate(config: ParticleSimConfig, *, record_trajectory: bool = False,
                 levels[m] += 1
             if k is None:
                 levels.append(2)
-            if levels[0] >= cap:
-                # leader at the cap: exit + jump-back, atomically
-                del levels[0]
-                kind, k = "exit", None
-                if t >= 0.0:
-                    exits.append(t)
-                    exit_configs.append(tuple(levels))
-        elif t_land == budget:
-            t = flights[0][2]       # the flight exits at the top of the loop
-        else:
-            t = horizon
         if trajectory is not None:
-            rows = [(start + float(cum[m]), "push", 1, (l1 + m + 1, *rest))
-                    for m in range(n)]
-            if drawn:
-                rows.append((t, kind, k, tuple(levels)))
-            trajectory.extend(TransitionEvent(*row) for row in rows
-                              if row[0] >= 0.0)
+            rows = itertools.chain(     # streamed: a climb holds 10^4 rows
+                ((t + float(cum[m]), "push", 1, (l1 + m + 1, *rest))
+                 for m in range(n)),
+                [(t + dt, kind, k, tuple(levels))] if drawn else ())
+            for time, kind, k, after in rows:
+                if after[0] >= cap:     # it lands at the top of the loop
+                    kind, k, after = "exit", None, after[1:]
+                if time >= 0.0:
+                    trajectory(TransitionEvent(time, kind, k, after))
+        if climbed or drawn:
+            t += dt
+        else:       # a flight lands at the top of the loop, or the run ends
+            t = flights[0][2] if t_land == budget else horizon
 
     return ParticleRunResult(
         exits=np.asarray(exits, dtype=np.float64),
-        trajectory=trajectory,
         exit_configs=exit_configs,
         sample_configs=sample_configs if sample_spacing is not None else None,
         n_transitions=n_transitions,
@@ -390,13 +376,6 @@ def exit_gap_statistics(exits: Sequence[float]) -> ExitGapSummary:
 
 # ---------------------------------------------------------------------------
 # Exports
-
-def export_trajectory_jsonl(events: Iterable[TransitionEvent], path) -> None:
-    with open(path, "w") as fh:
-        for ev in events:
-            fh.write(json.dumps({"t": ev.time, "kind": ev.kind, "k": ev.k,
-                                 "levels": list(ev.levels)}) + "\n")
-
 
 def export_exits_csv(exits: Sequence[float], path) -> None:
     with open(path, "w", newline="") as fh:

@@ -388,8 +388,9 @@ def check_structural_equalities(p: dict, seed: int) -> CheckResult:
             n_z += 1
     pcfg = particles.ParticleSimConfig(particle_cap=60, horizon=300.0,
                                        seed=child_seed(seed, "c9", "jump"))
-    run = particles.simulate(pcfg, record_trajectory=True)
-    n_exits, violations = _replay_jump_back(run.trajectory, 60)
+    rows: list[particles.TransitionEvent] = []
+    particles.simulate(pcfg, trajectory=rows.append)
+    n_exits, violations = _replay_jump_back(rows, 60)
     ok = violations == 0 and n_exits > 50
     return CheckResult(
         name="structural-equalities", criterion=9, passed=ok,
@@ -464,6 +465,8 @@ def run_suite(profile: str = "full", seed: int = DEFAULT_SEED,
     """Run the acceptance checks; ``only`` selects criteria by number."""
     if profile not in PROFILES:
         raise ConfigurationError(f"unknown profile {profile!r}")
+    if not set(only or ()) <= set(range(1, len(CHECKS) + 1)):
+        raise ConfigurationError(f"criteria {only} not in 1..{len(CHECKS)}")
     params = PROFILES[profile]
     results = []
     for idx, fn in enumerate(CHECKS, start=1):

@@ -184,9 +184,12 @@ class TestSimulateLookdown:
             assert (entry["first"] is None) == (entry["count"] == 0)
             metrics = manifest["metrics"]
             assert metrics.keys() == {"slices_generated", "events_generated",
-                                      "cache_hits", "cache_evictions"}
+                                      "cache_hits", "cache_evictions",
+                                      "simulate_seconds", "peak_rss_mb"}
             assert metrics["slices_generated"] > 0
             assert metrics["events_generated"] > 0
+            assert metrics["simulate_seconds"] >= 0
+            assert metrics["peak_rss_mb"] > 0
         assert counts["20"] == 0 and counts["5"] > 0
 
         # the slice cache holds a whole N=1000 grid run: no slice is
@@ -235,6 +238,18 @@ class TestSimulateLookdown:
                         "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("spacing", ["0", "-1"])
+    def test_nonpositive_sample_spacing_is_usage_error(self, tmp_path,
+                                                       capsys, spacing):
+        # 0 divided by zero and -1 wrote a header-only observables.csv
+        out = tmp_path / "run"
+        code = run_cli(["simulate-lookdown", "--levels", "20", "--t-start",
+                        "0", "--t-end", "5", "--seed", "1", "--no-events",
+                        "--sample-spacing", spacing, "--out", str(out)])
+        assert code == cli.EXIT_USAGE == 2
+        assert "--sample-spacing" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_selected_fast_criteria(self, tmp_path, capsys):
@@ -246,6 +261,20 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["pass"] is True
         assert {c["criterion"] for c in report["checks"]} == {1, 2}
+
+    def test_criterion_out_of_range_is_usage_error(self, tmp_path, capsys):
+        # no check ran: not a PASS
+        code = run_cli(["verify", "--profile", "quick", "--criteria", "1,12",
+                        "--out", str(tmp_path)])
+        assert code == cli.EXIT_USAGE == 2
+        assert "[1, 12]" in capsys.readouterr().err
+        assert not (tmp_path / "verify_report.json").exists()
+
+    def test_criterion_not_a_number_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--criteria", "x"])
+        assert exc.value.code == cli.EXIT_USAGE == 2
+        assert "invalid criteria value: 'x'" in capsys.readouterr().err
 
     def test_entropy_seed_recorded(self, tmp_path):
         code = run_cli(["verify", "--profile", "quick", "--criteria", "1",

@@ -50,7 +50,7 @@ SHARED = {
                "open the window and to start the run",
     "levels": "ParticleConfig.levels is the state simulate starts from; "
               "TransitionEvent.levels, the state after a transition, is "
-              "exported and replayed by verify",
+              "written to trajectory.jsonl and replayed by verify",
     "mrca_time": "CoalescentCurve.mrca_time is read by verify's duality "
                  "check; MrcaObservables.mrca_time is the A column of "
                  "simulate-lookdown",
@@ -69,7 +69,7 @@ SHARED = {
     "steps": "verify compares FixationCurve.steps with CoalescentCurve.steps "
              "back from the curve's exit",
     "time": "MrcaObservables.time is the t column of simulate-lookdown, "
-            "TransitionEvent.time goes to the trajectory export and "
+            "TransitionEvent.time goes to trajectory.jsonl and "
             "SubstitutionEvent.time to verify's dispersion check",
     "to_dict": "CheckResult, ExitGapSummary and GofReport each serialize "
                "into verify_report.json, ExitGapSummary also into the CLI's "

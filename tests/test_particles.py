@@ -85,13 +85,19 @@ class TestStep:
                 assert new.levels == (6, 3, 2)
 
 
+def _recorded(cfg, **kw):
+    """(run, trajectory rows) of one run with the trajectory recorded."""
+    rows = []
+    return particles.simulate(cfg, trajectory=rows.append, **kw), rows
+
+
 class TestSimulate:
     def test_deterministic(self):
         cfg = particles.ParticleSimConfig(particle_cap=200, horizon=50.0, seed=3)
-        a = particles.simulate(cfg, record_trajectory=True)
-        b = particles.simulate(cfg, record_trajectory=True)
+        a, a_rows = _recorded(cfg)
+        b, b_rows = _recorded(cfg)
         assert np.array_equal(a.exits, b.exits)
-        assert a.trajectory == b.trajectory
+        assert a_rows == b_rows
 
     def test_exit_rate_near_one(self):
         cfg = particles.ParticleSimConfig(particle_cap=2_000, horizon=4_000.0,
@@ -102,10 +108,10 @@ class TestSimulate:
 
     def test_trajectory_replay_valid(self):
         cfg = particles.ParticleSimConfig(particle_cap=50, horizon=120.0, seed=9)
-        run = particles.simulate(cfg, record_trajectory=True)
+        run, rows = _recorded(cfg)
         cur: list[int] = []
         n_exits = 0
-        for ev in run.trajectory:
+        for ev in rows:
             assert all(a > b for a, b in zip(ev.levels, ev.levels[1:]))
             if ev.kind == "arrival":
                 assert ev.levels == tuple(l + 1 for l in cur) + (2,)
@@ -131,8 +137,8 @@ class TestSimulate:
         # arrival that carries the leader over it) record the post-exit state
         cfg = particles.ParticleSimConfig(particle_cap=60, horizon=300.0,
                                           seed=10, burn_in=10.0)
-        run = particles.simulate(cfg, record_trajectory=True)
-        exit_rows = [ev for ev in run.trajectory if ev.kind == "exit"]
+        run, rows = _recorded(cfg)
+        exit_rows = [ev for ev in rows if ev.kind == "exit"]
         assert len(run.exit_configs) == run.exits.size > 50
         assert run.exit_configs == [ev.levels for ev in exit_rows]
         assert [ev.time for ev in exit_rows] == run.exits.tolist()
@@ -146,9 +152,7 @@ class TestSimulate:
         for seed in range(10):
             cfg = particles.ParticleSimConfig(particle_cap=cap, horizon=50.0,
                                               seed=seed)
-            run = particles.simulate(cfg, record_trajectory=True,
-                                     sample_spacing=0.37)
-            rows = run.trajectory
+            run, rows = _recorded(cfg, sample_spacing=0.37)
             assert run.n_transitions == len(rows)
             times = [ev.time for ev in rows]
             grid = list(itertools.accumulate([0.37] * len(run.sample_configs)))
@@ -168,9 +172,8 @@ class TestSimulate:
     def test_burn_in_discards_prefix(self):
         cfg = particles.ParticleSimConfig(particle_cap=100, horizon=30.0,
                                           seed=4, burn_in=10.0)
-        run = particles.simulate(cfg, record_trajectory=True,
-                                 sample_spacing=1.0)
-        assert all(ev.time >= 0 for ev in run.trajectory)
+        run, rows = _recorded(cfg, sample_spacing=1.0)
+        assert all(ev.time >= 0 for ev in rows)
         assert np.all(run.exits >= 0)
         # samples at 1, 2, ..., 29: none in the burn-in
         assert len(run.sample_configs) == 29
@@ -182,10 +185,11 @@ class TestSimulate:
             particles.ParticleSimConfig(particle_cap=100, horizon=-1.0, seed=0)
 
 
-def _digest(run) -> str:
+def _digest(run, rows) -> str:
+    """Hash of a run's outputs and its trajectory rows (None if unrecorded)."""
     h = hashlib.sha256(run.exits.tobytes())
     for part in (run.exit_configs, run.sample_configs, run.n_transitions,
-                 run.trajectory):
+                 rows):
         h.update(repr(part).encode())
     return h.hexdigest()
 
@@ -209,10 +213,24 @@ class TestFlights:
         cfg = particles.ParticleSimConfig(
             particle_cap=cap, horizon=horizon, seed=seed, burn_in=5.0,
             init=particles.ParticleConfig(init))
-        run = particles.simulate(cfg, record_trajectory=record,
-                                 sample_spacing=0.37)
+        if record:
+            run, rows = _recorded(cfg, sample_spacing=0.37)
+        else:
+            run, rows = particles.simulate(cfg, sample_spacing=0.37), None
         assert run.n_flights == 0
-        assert _digest(run) == digest
+        assert _digest(run, rows) == digest
+
+    def test_runs_with_flights_are_unchanged(self):
+        # a digest made while an exit at the cap and the landing of a
+        # flight were still two code paths: both leaders of the initial
+        # state fly from the start of the burn-in, and later ones follow
+        cfg = particles.ParticleSimConfig(
+            particle_cap=2000, horizon=200.0, seed=5, burn_in=5.0,
+            init=particles.ParticleConfig((1500, 700, 3)))
+        run = particles.simulate(cfg, sample_spacing=0.37)
+        assert run.n_flights == 236
+        assert _digest(run, None) == (
+            "e5c35881d1c14a9f0e67596bd604d3510785b3a2d2fb5b05afcce18ccc84b9e9")
 
     @pytest.mark.parametrize("cap", [600, 2000, 10_000])
     def test_invariants_with_flights(self, cap):

@@ -22,6 +22,13 @@ def test_unknown_profile_rejected():
         verify.run_suite("huge")
 
 
+@pytest.mark.parametrize("only", [[0], [12], [1, 12]])
+def test_unknown_criteria_rejected(only):
+    # a selection that runs no check, or skips one asked for, is no PASS
+    with pytest.raises(ConfigurationError, match=r"not in 1\.\.11"):
+        verify.run_suite("quick", only=only)
+
+
 def test_tampering_fails_named_check(monkeypatch):
     # breaking one exact constant must fail exactly the constants check
     real = zlaw.pmf_Z
