@@ -119,13 +119,6 @@ def joint_I(*levels: int) -> Fraction:
     return out
 
 
-def K_transition(j: int, k: int) -> Fraction:
-    """P[K^(j+1) = k+1 | K^j = k] = C(k+1,2)/C(j+1,2), for j > k >= 1."""
-    if k < 1 or j <= k:
-        raise DomainError(f"need j > k >= 1, got j={j}, k={k}")
-    return Fraction(comb2(k + 1), comb2(j + 1))
-
-
 def K_marginal(j: int, k: int) -> Fraction:
     """P[K^j = k] = (j+1)/(j-1) * 2/((k+1)(k+2)), for j > k >= 1."""
     if k < 1 or j <= k:
@@ -136,19 +129,23 @@ def K_marginal(j: int, k: int) -> Fraction:
 def K_marginal_forward(j: int) -> dict[int, Fraction]:
     """Distribution of K^j by exact forward recursion from K^2 = 1.
 
+    Step jj moves K = k to k + 1 with probability C(k+1, 2)/C(jj+1, 2).
+    The numerators are kept in integers over the common denominator
+    prod C(jj+1, 2), and each is made a ``Fraction`` once at the end.
     Independent of the closed-form marginal; used as its oracle.
     """
     if j < 2:
         raise DomainError("j must be >= 2")
-    dist = {1: Fraction(1)}
+    dist, den = {1: 1}, 1
     for jj in range(2, j):
-        nxt: dict[int, Fraction] = {}
+        c = comb2(jj + 1)
+        nxt: dict[int, int] = {}
         for k, p in dist.items():
-            up = K_transition(jj, k)
-            nxt[k + 1] = nxt.get(k + 1, Fraction(0)) + p * up
-            nxt[k] = nxt.get(k, Fraction(0)) + p * (1 - up)
-        dist = nxt
-    return dist
+            up = comb2(k + 1)
+            nxt[k + 1] = nxt.get(k + 1, 0) + p * up
+            nxt[k] = nxt.get(k, 0) + p * (c - up)
+        dist, den = nxt, den * c
+    return {k: Fraction(p, den) for k, p in dist.items()}
 
 
 def K_table(j: int, max_level: int | None = None) -> PmfTable:

@@ -13,7 +13,10 @@ one at that same instant (no observer sees an intermediate state).
 the empty one included.  ``_solo_climb`` draws the leader's solo pushes in
 vectorized chunks against one exponential clock carrying every other
 transition (total rate c2 = C(l2+1, 2), arrivals included; with no leader
-the climb is empty and c2 = 1).  A segment ends at that clock, at the
+the climb is empty and c2 = 1).  One generator call per segment draws
+that clock and the climb's first chunk, the same draws as an Exp(1/c2)
+followed by the chunk, and the rates come from one table of C(l+1, 2)
+per run.  A segment ends at that clock, at the
 climb's last push into its top, at the landing epoch of a leader in
 flight (below), or at the horizon; its grid samples read the leader off
 the climb, and one recorder writes its pushes and the transition that
@@ -146,30 +149,52 @@ class ParticleRunResult:
     exit_time_bias: float
 
 
-def _solo_climb(rng: np.random.Generator, level: int, top: int, c2: int,
-                budget: float) -> np.ndarray:
+# a climb's first chunk; later ones are x8 the last, up to 2^16
+_FIRST_CHUNK = 64
+# a run's rate table covers the levels below min(cap, _TABLE_LEVELS), and a
+# chunk above it computes the same values itself
+_TABLE_LEVELS = 1 << 20
+
+
+def _half(lo: int, hi: int) -> np.ndarray:
+    """C(l+1, 2) = l(l+1)/2 for l in [lo, hi) as float64, exact for l < 2^26."""
+    ls = np.arange(lo, hi, dtype=np.float64)
+    return ls * (ls + 1.0) / 2.0
+
+
+def _solo_climb(rng: np.random.Generator, half: np.ndarray, level: int,
+                top: int, c2: int, budget: float,
+                first: np.ndarray) -> np.ndarray:
     """Cumulative times, from now, of the leader's solo pushes out of
     ``level``, ``level + 1``, ... (rate C(l+1, 2) - c2 out of level l).
 
-    Exponentials are drawn in chunks (64, then x8 up to 2^16) until the
-    climb passes ``budget`` or reaches ``top``; empty when level >= top.
+    ``first`` holds the standard exponentials of the first chunk,
+    min(_FIRST_CHUNK, top - level) of them (none when level >= top); the
+    caller draws them in one generator call with the segment's own clock.
+    Later chunks (512, then x8 up to 2^16) are drawn here until the climb
+    passes ``budget`` or reaches ``top``.  ``half`` is the run's table of
+    C(l+1, 2) (``_half(0, ...)``); a one-chunk climb is its own result.
     """
-    cums: list[np.ndarray] = []
-    total = 0.0
-    chunk = 64
-    while level < top and total <= budget:
-        hi = min(top, level + chunk)
-        ls = np.arange(level, hi, dtype=np.float64)
-        rates = ls * (ls + 1.0) / 2.0 - c2
-        seg = total + np.cumsum(rng.standard_exponential(hi - level) / rates)
+    hi = level + first.size
+    rates = half[level:hi] if hi <= half.size else _half(level, hi)
+    cum = (first / (rates - c2)).cumsum()
+    if hi >= top or cum[-1] > budget:
+        return cum
+    cums = [cum]
+    total = float(cum[-1])
+    chunk = _FIRST_CHUNK * 8
+    while hi < top and total <= budget:
+        level, hi = hi, min(top, hi + chunk)
+        rates = half[level:hi] if hi <= half.size else _half(level, hi)
+        seg = total + (rng.standard_exponential(hi - level)
+                       / (rates - c2)).cumsum()
         cums.append(seg)
         total = float(seg[-1])
-        level = hi
         chunk = min(chunk * 8, 1 << 16)
-    return np.concatenate(cums) if cums else np.empty(0)
+    return np.concatenate(cums)
 
 
-def _in_flight(rng: np.random.Generator,
+def _in_flight(rng: np.random.Generator, half: np.ndarray,
                flights: list[tuple[float, int, float]], s: float,
                floor: int, cap: int) -> tuple[int, ...]:
     """Levels at time ``s`` of the leaders in flight, highest first.
@@ -181,8 +206,9 @@ def _in_flight(rng: np.random.Generator,
     below = floor
     levels = []
     for start, level, _ in reversed(flights):   # the newest flies lowest
-        cum = _solo_climb(rng, level, cap, 0, s - start)
-        floor = max(level + int(np.searchsorted(cum, s - start, side="right")),
+        first = rng.standard_exponential(min(cap - level, _FIRST_CHUNK))
+        cum = _solo_climb(rng, half, level, cap, 0, s - start, first)
+        floor = max(level + int(cum.searchsorted(s - start, side="right")),
                     floor + 1)
         levels.append(floor)
     ceiling = cap
@@ -209,6 +235,7 @@ def simulate(config: ParticleSimConfig, *,
     rng = rng_from(config.seed, "particles")
     cap = config.particle_cap
     top = cap if trajectory is not None or cap <= K_STAR else K_STAR
+    half = _half(0, min(cap, _TABLE_LEVELS))    # C(l+1, 2) for the climbs
     # flight levels draw from a stream of their own: reading them moves no exit
     flight_rng = rng_from(config.seed, "particles", "flights")
     horizon = float(config.horizon)
@@ -233,7 +260,7 @@ def simulate(config: ParticleSimConfig, *,
             if t >= 0.0:
                 exits.append(t)
                 exit_configs.append(
-                    _in_flight(flight_rng, flights, t,
+                    _in_flight(flight_rng, half, flights, t,
                                levels[0] if levels else 1, cap)
                     + tuple(levels))
         n_segments += 1
@@ -244,18 +271,21 @@ def simulate(config: ParticleSimConfig, *,
                 raise InternalError(f"particle order violated: {levels}")
         l1 = levels[0] if levels else top       # no leader: an empty climb
         c2 = comb2(below[0] + 1)                # rate of all but solo pushes
-        t_other = float(rng.exponential(1.0 / c2))
+        # one call draws the clock of all but solo pushes, then the climb's
+        # first chunk: the draws of an Exp(1/c2) and a separate fill
+        e = rng.standard_exponential(min(top - l1, _FIRST_CHUNK) + 1)
+        t_other = (1.0 / c2) * float(e[0])
         t_land = flights[0][2] - t if flights else math.inf
         budget = min(t_other, t_land, horizon - t)
-        cum = _solo_climb(rng, l1, top, c2, budget)
-        n = int(np.searchsorted(cum, budget, side="right"))
+        cum = _solo_climb(rng, half, l1, top, c2, budget, e[1:])
+        n = int(cum.searchsorted(budget, side="right"))
         climbed = n == top - l1 > 0     # the leader's last push hit the top
         dt = float(cum[-1]) if climbed else budget
 
         while next_sample < t + dt:
-            lead = l1 + int(np.searchsorted(cum, next_sample - t, side="right"))
+            lead = l1 + int(cum.searchsorted(next_sample - t, side="right"))
             sample_configs.append(
-                _in_flight(flight_rng, flights, next_sample,
+                _in_flight(flight_rng, half, flights, next_sample,
                            lead if levels else 1, cap)
                 + ((lead, *rest) if levels else ()))
             next_sample += sample_spacing

@@ -20,6 +20,9 @@ for tests that compare them with the oracles.
 one transition at a time, the event-by-event law that ``particles.simulate``
 resolves in climb segments.
 
+``K_transition`` is the one-step law of the K chain, the step that
+``laws.K_marginal_forward`` takes in integers.
+
 ``chi_square_two_sample`` compares two simulated samples with each other
 where neither side has an exact table to test against.
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +39,7 @@ import scipy.stats
 
 from lookdown.engine import EngineConfig, EventStream
 from lookdown.errors import (ConfigurationError, DegenerateBinningError,
-                             SampleSizeError)
+                             DomainError, SampleSizeError)
 from lookdown.laws import comb2
 from lookdown.particles import ParticleConfig, TransitionEvent
 from lookdown.stats import ALPHA_DEFAULT, MIN_EXPECTED, GofReport, _report
@@ -186,6 +190,13 @@ def step(state: ParticleConfig,
         levels = [l + 1 for l in state.levels] + [2]
     new_state = ParticleConfig(tuple(levels))
     return new_state, TransitionEvent(dt, kind, k, new_state.levels)
+
+
+def K_transition(j: int, k: int) -> Fraction:
+    """P[K^(j+1) = k+1 | K^j = k] = C(k+1,2)/C(j+1,2), for j > k >= 1."""
+    if k < 1 or j <= k:
+        raise DomainError(f"need j > k >= 1, got j={j}, k={k}")
+    return Fraction(comb2(k + 1), comb2(j + 1))
 
 
 def chi_square_two_sample(samples_a: Sequence, samples_b: Sequence,

@@ -90,6 +90,10 @@ class TestSimulateParticles:
         traj = (tmp_path / "trajectory.jsonl").read_text().splitlines()
         row = json.loads(traj[0])
         assert row.keys() == {"t", "kind", "k", "levels"}
+        # each row is the text json.dumps writes for it, in every kind
+        rows = [json.loads(r) for r in traj]
+        assert {r["kind"] for r in rows} == {"push", "arrival", "exit"}
+        assert [json.dumps(r) for r in rows] == traj
         metrics = manifest["metrics"]
         assert metrics.keys() == {"transitions", "exits", "flights",
                                   "segments", "simulate_seconds",
@@ -289,3 +293,14 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "simulate-lookdown" in proc.stdout
+
+
+def test_import_leaves_scipy_stats_out():
+    # the CLI's chi-square p-values need only scipy.special; importing
+    # scipy.stats would cost more than a second of every command's start
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lookdown.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -10,6 +10,8 @@ from lookdown import laws
 from lookdown.errors import DomainError
 from lookdown.tables import INF
 
+from oracle import K_transition
+
 
 class TestPmfL:
     def test_values(self):
@@ -93,9 +95,24 @@ class TestJointI:
 
 class TestKChain:
     def test_transition(self):
-        assert laws.K_transition(2, 1) == Fraction(1, 3)
+        assert K_transition(2, 1) == Fraction(1, 3)
         with pytest.raises(DomainError):
-            laws.K_transition(2, 2)
+            K_transition(2, 2)
+
+    @pytest.mark.parametrize("j", [2, 3, 7, 30])
+    def test_forward_recursion_is_the_transition_chain(self, j):
+        # the integer recursion against one Fraction step per key, with
+        # the keys in the same order
+        dist = {1: Fraction(1)}
+        for jj in range(2, j):
+            nxt = {}
+            for k, p in dist.items():
+                up = K_transition(jj, k)
+                nxt[k + 1] = nxt.get(k + 1, Fraction(0)) + p * up
+                nxt[k] = nxt.get(k, Fraction(0)) + p * (1 - up)
+            dist = nxt
+        fwd = laws.K_marginal_forward(j)
+        assert fwd == dist and list(fwd) == list(dist)
 
     def test_marginal_j3(self):
         assert laws.K_marginal(3, 1) == Fraction(2, 3)

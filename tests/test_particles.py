@@ -232,6 +232,18 @@ class TestFlights:
         assert _digest(run, None) == (
             "e5c35881d1c14a9f0e67596bd604d3510785b3a2d2fb5b05afcce18ccc84b9e9")
 
+    def test_benchmark_regime_is_unchanged(self):
+        # the regime of the particles-equilibrium benchmark: cap 10^4 from
+        # a stationary start, sampled every 5 units; a digest made before
+        # the climb shared its first generator call with the segment's clock
+        init = particles.sample_stationary(rng_from(13, "init"), below=10_000)
+        cfg = particles.ParticleSimConfig(particle_cap=10_000, horizon=100.0,
+                                          seed=13, init=init)
+        run = particles.simulate(cfg, sample_spacing=5.0)
+        assert init.levels == (13, 3, 2) and run.n_flights == 102
+        assert _digest(run, None) == (
+            "8e21a4ed7a5ba4c42ed0604f42171f8a4374483f6deaa8e5d64b485f59b94a4d")
+
     @pytest.mark.parametrize("cap", [600, 2000, 10_000])
     def test_invariants_with_flights(self, cap):
         flying = 0

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
+import scipy.stats
 
 from lookdown import laws, stats
 from lookdown.errors import (DegenerateBinningError, SampleSizeError,
@@ -103,6 +105,23 @@ class TestChiSquare:
         # 16/24 + 4/12 + 4/12
         assert rep.statistic == pytest.approx(4 / 3, rel=1e-12)
         assert (rep.dof, rep.bins) == (2, "3 cells (min_expected=5.0)")
+
+    def test_p_value_is_the_chi2_survival_function(self, rng):
+        # chdtrc is the routine chi2.sf calls: equal to the bit on a grid,
+        # and so in every report, from p near 1 to p far below alpha
+        stat = np.concatenate([np.linspace(0.0, 400.0, 401),
+                               np.geomspace(1e-6, 1e4, 300)])
+        for dof in (1, 2, 3, 5, 8, 13, 40, 150):
+            assert np.array_equal(scipy.special.chdtrc(dof, stat),
+                                  scipy.stats.chi2.sf(stat, dof))
+        exact = laws.pmf_L_table(12)
+        for shift in (0.0, 0.02, 0.05, 0.2):
+            draws = laws.sample_L(rng, 5_000)
+            draws[rng.random(draws.size) < shift] += 1
+            rep = stats.chi_square_gof(stats.empirical_pmf(draws.tolist()),
+                                       exact)
+            assert rep.p_value == float(
+                scipy.stats.chi2.sf(rep.statistic, rep.dof))
 
     def test_two_sample_null_and_power(self, rng):
         a = laws.sample_L(rng, 20_000).tolist()
