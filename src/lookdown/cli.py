@@ -218,9 +218,7 @@ def cmd_simulate_particles(args) -> int:
         "init_levels": list(cfg.init.levels),
         "exit_time_bias": run.exit_time_bias,
     }, outputs, started, metrics={
-        "transitions": run.n_transitions, "exits": int(run.exits.size),
-        "flights": run.n_flights, "segments": run.n_segments,
-        "simulate_seconds": round(sim_seconds, 3),
+        **run.counters(), "simulate_seconds": round(sim_seconds, 3),
         "peak_rss_mb": _peak_rss_mb()}))
     print(f"simulate-particles: cap={cfg.particle_cap} horizon={cfg.horizon} "
           f"seed={args.seed} init={args.init}{list(cfg.init.levels)}")

@@ -10,18 +10,22 @@ leader reaches M, and the indices of the remaining particles shift down by
 one at that same instant (no observer sees an intermediate state).
 
 ``simulate`` is one competing-risks loop that every state goes through,
-the empty one included.  ``_solo_climb`` draws the leader's solo pushes in
-vectorized chunks against one exponential clock carrying every other
-transition (total rate c2 = C(l2+1, 2), arrivals included; with no leader
-the climb is empty and c2 = 1).  One generator call per segment draws
-that clock and the climb's first chunk, the same draws as an Exp(1/c2)
-followed by the chunk, and the rates come from one table of C(l+1, 2)
-per run.  A segment ends at that clock, at the
-climb's last push into its top, at the landing epoch of a leader in
-flight (below), or at the horizon; its grid samples read the leader off
-the climb, and one recorder writes its pushes and the transition that
-ends it.  A state out of order raises ``InternalError`` (exit status 4
-from the CLI).
+the empty one included.  A segment races the leader's solo pushes against
+one exponential clock carrying every other transition (total rate
+c2 = C(l2+1, 2), arrivals included; with no leader the climb is empty and
+c2 = 1).  The clock and the solo pushes read standard exponentials, and
+the drawn transition a uniform, one at a time from two streams that the
+run's generator fills in blocks of _BLOCK.  A climb expected to push at
+most _SHORT_CLIMB times, or with no more room than that, takes one
+exponential per push in plain Python and stops at the first push past its
+budget; that draw is dropped, which memorylessness allows.  A climb
+expected to be longer, or still going after _SHORT_CLIMB pushes, goes on
+in vectorized chunks (``_solo_climb``), the first one sized from its
+expected pushes.  A segment ends at that clock, at the climb's last
+push into its top, at the landing epoch of a leader in flight (below), or
+at the horizon; its grid samples read the leader off the climb, and one
+recorder writes its pushes and the transition that ends it.  A state out
+of order raises ``InternalError`` (exit status 4 from the CLI).
 
 Every exit is a flight that lands.  The leader is pushed at total rate
 C(l+1, 2) whatever the others do, and the particles below it form the
@@ -41,16 +45,18 @@ forced by full levels is the exact system's push that lifts the newest
 leader to K_STAR and carries the highest particle over the cap.  A grid
 sample or exit configuration taken while a leader is in flight draws its
 level from the pure-birth climb out of the flight's start level, kept
-above the particle below it and below the cap.
+above the particle below it and below the cap; these draws come from a
+generator of their own, so reading them moves no exit.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -134,8 +140,8 @@ class ParticleRunResult:
                         pi_Lambda and the law of Z
     n_transitions       transitions the loop drew, burn-in included (not
                         the pushes of leaders in flight); the CLI prints it
-    n_flights           leaders that flew from below the cap; the manifest
-    n_segments          loop segments; the CLI's manifest
+    n_flights           leaders that flew from below the cap
+    n_segments          loop segments
     exit_time_bias      the analytic per-exit truncation bias 2/cap (mean
                         residual climb time above the cap), for the manifest
     """
@@ -148,12 +154,29 @@ class ParticleRunResult:
     n_segments: int
     exit_time_bias: float
 
+    def counters(self) -> dict[str, int]:
+        """What the run drew: its transitions, loop segments, flights and
+        exits; the CLI's manifest and verify's reports carry it."""
+        return {"transitions": self.n_transitions,
+                "exits": int(self.exits.size), "flights": self.n_flights,
+                "segments": self.n_segments}
 
-# a climb's first chunk; later ones are x8 the last, up to 2^16
-_FIRST_CHUNK = 64
+
+# standard exponentials and uniforms come from a run's generator in blocks
+# of this many, read one at a time as Python floats
+_BLOCK = 1024
+# a climb runs in plain Python for at most this many pushes, and only when
+# it is expected to make no more; the rest is drawn in vectorized chunks
+_SHORT_CLIMB = 16
 # a run's rate table covers the levels below min(cap, _TABLE_LEVELS), and a
 # chunk above it computes the same values itself
 _TABLE_LEVELS = 1 << 20
+
+
+def _stream(draw: Callable[[int], np.ndarray]) -> Iterator[float]:
+    """The values of ``draw(_BLOCK)``, block after block, as Python floats."""
+    return itertools.chain.from_iterable(
+        iter(lambda: draw(_BLOCK).tolist(), None))
 
 
 def _half(lo: int, hi: int) -> np.ndarray:
@@ -163,26 +186,23 @@ def _half(lo: int, hi: int) -> np.ndarray:
 
 
 def _solo_climb(rng: np.random.Generator, half: np.ndarray, level: int,
-                top: int, c2: int, budget: float,
-                first: np.ndarray) -> np.ndarray:
+                top: int, c2: int, budget: float) -> np.ndarray:
     """Cumulative times, from now, of the leader's solo pushes out of
-    ``level``, ``level + 1``, ... (rate C(l+1, 2) - c2 out of level l).
+    ``level``, ``level + 1``, ... (rate C(l+1, 2) - c2 out of level l) that
+    come by ``budget``, up to the push into ``top``.
 
-    ``first`` holds the standard exponentials of the first chunk,
-    min(_FIRST_CHUNK, top - level) of them (none when level >= top); the
-    caller draws them in one generator call with the segment's own clock.
-    Later chunks (512, then x8 up to 2^16) are drawn here until the climb
-    passes ``budget`` or reaches ``top``.  ``half`` is the run's table of
-    C(l+1, 2) (``_half(0, ...)``); a one-chunk climb is its own result.
+    The first chunk holds 1.25 times the pushes expected by ``budget``, plus
+    16; later ones are x8 the last, up to 2^16.  ``half`` is the run's table
+    of C(l+1, 2) (``_half(0, ...)``).
     """
-    hi = level + first.size
-    rates = half[level:hi] if hi <= half.size else _half(level, hi)
-    cum = (first / (rates - c2)).cumsum()
-    if hi >= top or cum[-1] > budget:
-        return cum
-    cums = [cum]
-    total = float(cum[-1])
-    chunk = _FIRST_CHUNK * 8
+    room = top - level
+    # pushes by ``budget`` at their mean times, c2 aside (it only slows the
+    # climb): 2/l - 2/(l + n) = budget
+    expected = (room if budget * level >= 2.0 else
+                budget * level * level / (2.0 - budget * level))
+    chunk = min(int(1.25 * expected) + 16, 1 << 16)
+    cums = []
+    hi, total = level, 0.0
     while hi < top and total <= budget:
         level, hi = hi, min(top, hi + chunk)
         rates = half[level:hi] if hi <= half.size else _half(level, hi)
@@ -191,7 +211,9 @@ def _solo_climb(rng: np.random.Generator, half: np.ndarray, level: int,
         cums.append(seg)
         total = float(seg[-1])
         chunk = min(chunk * 8, 1 << 16)
-    return np.concatenate(cums)
+    # a climb with no room has no chunk
+    cum = cums[0] if len(cums) == 1 else np.concatenate([np.empty(0), *cums])
+    return cum[:cum.searchsorted(budget, side="right")]
 
 
 def _in_flight(rng: np.random.Generator, half: np.ndarray,
@@ -206,10 +228,8 @@ def _in_flight(rng: np.random.Generator, half: np.ndarray,
     below = floor
     levels = []
     for start, level, _ in reversed(flights):   # the newest flies lowest
-        first = rng.standard_exponential(min(cap - level, _FIRST_CHUNK))
-        cum = _solo_climb(rng, half, level, cap, 0, s - start, first)
-        floor = max(level + int(cum.searchsorted(s - start, side="right")),
-                    floor + 1)
+        climb = _solo_climb(rng, half, level, cap, 0, s - start)
+        floor = max(level + climb.size, floor + 1)
         levels.append(floor)
     ceiling = cap
     for m in reversed(range(len(levels))):
@@ -235,7 +255,9 @@ def simulate(config: ParticleSimConfig, *,
     rng = rng_from(config.seed, "particles")
     cap = config.particle_cap
     top = cap if trajectory is not None or cap <= K_STAR else K_STAR
-    half = _half(0, min(cap, _TABLE_LEVELS))    # C(l+1, 2) for the climbs
+    half = _half(0, min(cap, _TABLE_LEVELS))    # C(l+1, 2) for long climbs
+    exps = _stream(rng.standard_exponential)
+    uniforms = _stream(rng.random)
     # flight levels draw from a stream of their own: reading them moves no exit
     flight_rng = rng_from(config.seed, "particles", "flights")
     horizon = float(config.horizon)
@@ -271,19 +293,37 @@ def simulate(config: ParticleSimConfig, *,
                 raise InternalError(f"particle order violated: {levels}")
         l1 = levels[0] if levels else top       # no leader: an empty climb
         c2 = comb2(below[0] + 1)                # rate of all but solo pushes
-        # one call draws the clock of all but solo pushes, then the climb's
-        # first chunk: the draws of an Exp(1/c2) and a separate fill
-        e = rng.standard_exponential(min(top - l1, _FIRST_CHUNK) + 1)
-        t_other = (1.0 / c2) * float(e[0])
+        t_other = next(exps) / c2
         t_land = flights[0][2] - t if flights else math.inf
         budget = min(t_other, t_land, horizon - t)
-        cum = _solo_climb(rng, half, l1, top, c2, budget, e[1:])
-        n = int(cum.searchsorted(budget, side="right"))
+        # a climb expected to push at most _SHORT_CLIMB times (by the mean
+        # climb time 2/l1 - 2/l out of l1, which the rates of the others only
+        # slow) runs in plain Python; past that many pushes, or when expected
+        # longer, it goes on in vectorized chunks from the level it reached
+        cum, elapsed, level = [], 0.0, l1
+        chunked = (top - l1 > _SHORT_CLIMB and budget * l1 * l1
+                > _SHORT_CLIMB * (2.0 - budget * l1))
+        if not chunked:
+            rate = comb2(l1 + 1) - c2           # of the leader's next push
+            while level < top:
+                if level - l1 == _SHORT_CLIMB:
+                    chunked = True
+                    break
+                elapsed += next(exps) / rate
+                if elapsed > budget:            # dropped: memoryless
+                    break
+                cum.append(elapsed)
+                level += 1
+                rate += level                   # C(l+2, 2) - C(l+1, 2)
+        if chunked:
+            climb = _solo_climb(rng, half, level, top, c2, budget - elapsed)
+            cum = np.concatenate((cum, elapsed + climb)) if cum else climb
+        n = len(cum)
         climbed = n == top - l1 > 0     # the leader's last push hit the top
         dt = float(cum[-1]) if climbed else budget
 
         while next_sample < t + dt:
-            lead = l1 + int(cum.searchsorted(next_sample - t, side="right"))
+            lead = l1 + bisect.bisect_right(cum, next_sample - t)
             sample_configs.append(
                 _in_flight(flight_rng, half, flights, next_sample,
                            lead if levels else 1, cap)
@@ -299,7 +339,7 @@ def simulate(config: ParticleSimConfig, *,
             if levels:
                 # pushes of 1..j, j >= 2, at C(l_j+1, 2) - C(l_{j+1}+1, 2):
                 # the rates telescope from c2, and an arrival takes the last 1
-                u = rng.random() * c2
+                u = next(uniforms) * c2
                 for j, l_next in enumerate(below[1:], start=2):
                     if u < c2 - comb2(l_next + 1):
                         kind, k = "push", j
@@ -345,6 +385,17 @@ def _draw_base(rng: np.random.Generator, below: int | None = None) -> int:
     return int(2.0 / (1.0 - u)) - 1
 
 
+def _stationary_levels(rng: np.random.Generator,
+                       below: int | None = None) -> tuple[int, ...]:
+    """The levels of one draw of ``sample_stationary``."""
+    levels: list[int] = []
+    l = _draw_base(rng, below)
+    while l > 1:
+        levels.append(l)
+        l = _draw_base(rng, below=l)
+    return tuple(levels)
+
+
 def sample_stationary(rng: np.random.Generator,
                       below: int | None = None) -> ParticleConfig:
     """One exact draw from pi_Lambda, or from pi_Lambda conditioned on a
@@ -354,17 +405,13 @@ def sample_stationary(rng: np.random.Generator,
     same base law conditioned below its predecessor; a drawn 1 stops the
     chain (that particle slot is empty).
     """
-    levels: list[int] = []
-    l = _draw_base(rng, below)
-    while l > 1:
-        levels.append(l)
-        l = _draw_base(rng, below=l)
-    return ParticleConfig(tuple(levels))
+    return ParticleConfig(_stationary_levels(rng, below))
 
 
 def sample_stationary_many(rng: np.random.Generator,
                            n: int) -> list[tuple[int, ...]]:
-    return [sample_stationary(rng).levels for _ in range(n)]
+    """The levels of n draws of ``sample_stationary(rng)``, the same draws."""
+    return [_stationary_levels(rng) for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -117,23 +117,40 @@ def chi_square_gof(empirical: PmfTable, exact: PmfTable,
 # ---------------------------------------------------------------------------
 # Kolmogorov-Smirnov against Exp(1)
 
-def ks_statistic(sorted_samples: np.ndarray, cdf: np.ndarray) -> float:
-    n = len(sorted_samples)
-    grid = np.arange(n, dtype=np.float64)
-    return float(max(np.max(np.abs(cdf - (grid + 1.0) / n)),
-                     np.max(np.abs(cdf - grid / n))))
+# ks_statistic compares the grid in blocks of this many samples
+_KS_BLOCK = 1 << 16
+
+
+def ks_statistic(cdf: np.ndarray) -> float:
+    """KS distance of a sample from its law, given the law's cdf at the
+    sorted sample."""
+    n = len(cdf)
+    d = 0.0
+    for lo in range(0, n, _KS_BLOCK):
+        part = cdf[lo:lo + _KS_BLOCK]
+        grid = np.arange(lo, lo + part.size, dtype=np.float64)
+        d = max(d, np.max(np.abs(part - (grid + 1.0) / n)),
+                np.max(np.abs(part - grid / n)))
+    return float(d)
 
 
 def ks_test_exp1(samples: Sequence[float], alpha: float = ALPHA_DEFAULT,
                  name: str = "ks_exp1") -> GofReport:
-    """One-sample KS against the unit exponential, asymptotic p-value."""
+    """One-sample KS against the unit exponential, asymptotic p-value.
+
+    Beyond the input, it holds one sorted copy, turned into the cdf in
+    place, and one block of ``ks_statistic``'s grid.
+    """
     x = np.asarray(samples, dtype=np.float64)
     if x.size < 50:
         raise SampleSizeError("KS test needs n >= 50")
-    if np.any(x <= 0):
+    if not x.min() > 0:     # NaN fails too
         raise ValidationError("samples must be strictly positive")
-    xs = np.sort(x)
-    d = ks_statistic(xs, 1.0 - np.exp(-xs))
+    cdf = np.sort(x)    # 1 - exp(-x), in place
+    np.negative(cdf, out=cdf)
+    np.exp(cdf, out=cdf)
+    np.subtract(1.0, cdf, out=cdf)
+    d = ks_statistic(cdf)
     p = float(sp.kolmogorov(math.sqrt(x.size) * d))
     return _report(name, d, p, x.size, alpha)
 

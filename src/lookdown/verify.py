@@ -60,6 +60,8 @@ class CheckResult:
     detail: str
     seconds: float = 0.0
     reports: list[dict] = field(default_factory=list)
+    # the work behind ``seconds``: a particle run's ``counters()``
+    work: dict = field(default_factory=dict)
 
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
@@ -69,7 +71,8 @@ class CheckResult:
     def to_dict(self) -> dict:
         return {"name": self.name, "criterion": self.criterion,
                 "pass": self.passed, "detail": self.detail,
-                "seconds": self.seconds, "reports": self.reports}
+                "seconds": self.seconds, "work": self.work,
+                "reports": self.reports}
 
 
 @dataclass
@@ -178,7 +181,8 @@ def check_particle_equilibrium(p: dict, seed: int) -> CheckResult:
         detail=(f"chi2 stationary-sampler p={rep1.p_value:.4f}, "
                 f"occupation (n={rep2.n}) p={rep2.p_value:.4f}, "
                 f"post-exit (n={rep3.n}) p={rep3.p_value:.4f} (all > {ALPHA})"),
-        reports=[rep1.to_dict(), rep2.to_dict(), rep3.to_dict()])
+        reports=[rep1.to_dict(), rep2.to_dict(), rep3.to_dict()],
+        work=run.counters())
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +205,7 @@ def check_poisson_exits(p: dict, seed: int) -> CheckResult:
         detail=(f"n={n} gaps: KS p={summary.ks_report.p_value:.4f}, "
                 f"lag1 {summary.lag1_autocorrelation:+.4f} (|.|<={lag_band:.4f}), "
                 f"dispersion {summary.dispersion:.4f} (1 +- {disp_band:.4f})"),
-        reports=[summary.to_dict()])
+        reports=[summary.to_dict()], work=run.counters())
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +226,7 @@ def check_z_by_simulation(p: dict, seed: int) -> CheckResult:
         name="z-law-by-simulation", criterion=5, passed=ok,
         detail=(f"n={len(zs)}: chi2 p={rep.p_value:.4f} (> {ALPHA}), "
                 f"mean {np.mean(zs):.4f} z={band.statistic:.2f} (<4)"),
-        reports=[rep.to_dict(), band.to_dict()])
+        reports=[rep.to_dict(), band.to_dict()], work=run.counters())
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +393,15 @@ def check_structural_equalities(p: dict, seed: int) -> CheckResult:
     pcfg = particles.ParticleSimConfig(particle_cap=60, horizon=300.0,
                                        seed=child_seed(seed, "c9", "jump"))
     rows: list[particles.TransitionEvent] = []
-    particles.simulate(pcfg, trajectory=rows.append)
+    run = particles.simulate(pcfg, trajectory=rows.append)
     n_exits, violations = _replay_jump_back(rows, 60)
     ok = violations == 0 and n_exits > 50
     return CheckResult(
         name="structural-equalities", criterion=9, passed=ok,
         detail=(f"{n_curves} exact curve equalities, {n_z} Z cross-checks, "
                 f"jump-back verified at {n_exits} exits "
-                f"({violations} violations)"))
+                f"({violations} violations)"),
+        work=run.counters())
 
 
 # ---------------------------------------------------------------------------

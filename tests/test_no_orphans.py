@@ -48,6 +48,9 @@ ALLOWED = {
 SHARED = {
     "burn_in": "EngineConfig and ParticleSimConfig each read their own, to "
                "open the window and to start the run",
+    "counters": "EventStream.counters and ParticleRunResult.counters are "
+                "the work of the two simulators in the CLI's manifests; the "
+                "particle run's also fills verify's CheckResult.work",
     "levels": "ParticleConfig.levels is the state simulate starts from; "
               "TransitionEvent.levels, the state after a transition, is "
               "written to trajectory.jsonl and replayed by verify",

@@ -195,19 +195,19 @@ def _digest(run, rows) -> str:
 
 
 class TestFlights:
-    # digests of these runs made before leaders could fly: no leader flies
-    # at a cap of at most K_STAR or with the trajectory recorded, and the
-    # runs stay the same to the bit
+    # digests of the draws of the buffered streams, short climbs in plain
+    # Python and chunks sized from the expected pushes: no leader flies at
+    # a cap of at most K_STAR or with the trajectory recorded
     @pytest.mark.parametrize("cap, horizon, seed, init, record, digest", [
         (12, 200.0, 1, (), False,
-         "9f4f37dd8f9ec328bb9460dff5f7525969b5cfc49baf7204694d885e80582496"),
+         "09c3a7d32987248071b9dc95d78655a45014a6f1bfa5623d38903d67fff10552"),
         (200, 200.0, 2, (150, 7, 2), False,
-         "44997267efd47f9aab588a5675ec1058837ff4f04d7bd4c17d515b12c3b5ffe1"),
+         "90c15fe6bf1f0a46f1562e17e416dc502656cdafd1d060baf607602dbe86e88d"),
         (512, 200.0, 3, (511, 40, 3), False,
-         "030baabb75c697051763e880851169ea901530060731c091391961de26c72076"),
+         "ba0a1e269fd4d94981422094f1770cdb3ee0f3cd688e1c32f1a8e5c671daf695"),
         (2000, 20.0, 4, (1999, 600, 5), True,
-         "b8eef1fd5e2043cee078aafec747d951f89eeebf55ca3254915fb5a1929b3f5e"),
-    ])
+         "e084567f1e0a0ca14722a8074b9fbf479673d674c81173d8d7e54889ab46d64b"),
+    ], ids=["cap12", "cap200", "cap512", "cap2000-recorded"])
     def test_runs_without_flights_are_unchanged(self, cap, horizon, seed,
                                                 init, record, digest):
         cfg = particles.ParticleSimConfig(
@@ -221,28 +221,27 @@ class TestFlights:
         assert _digest(run, rows) == digest
 
     def test_runs_with_flights_are_unchanged(self):
-        # a digest made while an exit at the cap and the landing of a
-        # flight were still two code paths: both leaders of the initial
-        # state fly from the start of the burn-in, and later ones follow
+        # both leaders of the initial state fly from the start of the
+        # burn-in, and later ones follow; a digest of the same draws as above
         cfg = particles.ParticleSimConfig(
             particle_cap=2000, horizon=200.0, seed=5, burn_in=5.0,
             init=particles.ParticleConfig((1500, 700, 3)))
         run = particles.simulate(cfg, sample_spacing=0.37)
-        assert run.n_flights == 236
+        assert run.n_flights == 204
         assert _digest(run, None) == (
-            "e5c35881d1c14a9f0e67596bd604d3510785b3a2d2fb5b05afcce18ccc84b9e9")
+            "dd46ac63b061f1d57293faee0626453348e0b9bd56b674b1f282367bc4befc77")
 
     def test_benchmark_regime_is_unchanged(self):
         # the regime of the particles-equilibrium benchmark: cap 10^4 from
-        # a stationary start, sampled every 5 units; a digest made before
-        # the climb shared its first generator call with the segment's clock
+        # a stationary start, sampled every 5 units; a digest of the same
+        # draws as above
         init = particles.sample_stationary(rng_from(13, "init"), below=10_000)
         cfg = particles.ParticleSimConfig(particle_cap=10_000, horizon=100.0,
                                           seed=13, init=init)
         run = particles.simulate(cfg, sample_spacing=5.0)
-        assert init.levels == (13, 3, 2) and run.n_flights == 102
+        assert init.levels == (13, 3, 2) and run.n_flights == 91
         assert _digest(run, None) == (
-            "8e21a4ed7a5ba4c42ed0604f42171f8a4374483f6deaa8e5d64b485f59b94a4d")
+            "27fbfa6f89fc584d0875ef5c62bfc4b76f072de0bc1c97cff5a67e5fe375af44")
 
     @pytest.mark.parametrize("cap", [600, 2000, 10_000])
     def test_invariants_with_flights(self, cap):
@@ -325,7 +324,58 @@ class TestFlights:
         assert chi_square_two_sample(flight_cells, exact_cells).passed
 
 
+class TestFiniteCapLaw:
+    # at a finite cap M the chain has an exact stationary law (solved over
+    # its 2^(M-2) states for M <= 12): the leader follows K^M
+    # (laws.K_marginal) and E[Z] = 1 - 2/M; these pin the law of the
+    # segment loop, whatever its draws
+    @staticmethod
+    def _samples(cap, seeds, monkeypatch):
+        chunked = []
+        real = particles._solo_climb
+        monkeypatch.setattr(particles, "_solo_climb",
+                            lambda *a: chunked.append(a[1:]) or real(*a))
+        leaders, zs = [], []
+        for seed in seeds:
+            cfg = particles.ParticleSimConfig(particle_cap=cap,
+                                              horizon=20_000.0, seed=seed,
+                                              burn_in=20.0)
+            run = particles.simulate(cfg, sample_spacing=4.0)
+            leaders += [c[0] if c else 1 for c in run.sample_configs]
+            zs += [len(c) for c in run.sample_configs]
+        return leaders, zs, chunked
+
+    @pytest.mark.parametrize("crossover", [0, 3, particles._SHORT_CLIMB])
+    def test_cap_12(self, monkeypatch, crossover):
+        # at the module's crossover every push runs in plain Python; at 0
+        # every climb is chunked, and at 3 many go on chunked after three
+        # pushes in Python
+        monkeypatch.setattr(particles, "_SHORT_CLIMB", crossover)
+        leaders, zs, chunked = self._samples(12, range(31, 35), monkeypatch)
+        assert len(chunked) > 10_000 if crossover < 10 else not chunked
+        rep = stats.chi_square_gof(stats.empirical_pmf(leaders),
+                                   laws.K_table(12))
+        assert rep.passed and rep.dof == 10
+        assert stats.moment_band(zs, target_mean=1.0 - 2.0 / 12).passed
+
+    def test_cap_2000_with_flights_and_long_climbs(self, monkeypatch):
+        leaders, _, chunked = self._samples(2000, (35, 36), monkeypatch)
+        # chunked climbs out of the loop (c2 > 0), not only flight levels
+        assert sum(1 for a in chunked if a[3] > 0) > 1000
+        rep = stats.chi_square_gof(stats.empirical_pmf(leaders),
+                                   laws.K_table(2000, 9))
+        assert rep.passed and rep.dof == 9
+
+
 class TestStationarySampler:
+    @pytest.mark.parametrize("seed", [25, 26])
+    def test_many_are_the_single_draws(self, seed):
+        n = 5_000
+        rng = rng_from(seed, "pi")
+        single = [particles.sample_stationary(rng).levels for _ in range(n)]
+        assert particles.sample_stationary_many(rng_from(seed, "pi"),
+                                                n) == single
+
     def test_reference_probabilities(self):
         rng = rng_from(21, "pi")
         n = 150_000

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -146,6 +147,40 @@ class TestKs:
             stats.ks_test_exp1([1.0] * 10)
         with pytest.raises(ValidationError):
             stats.ks_test_exp1([1.0] * 50 + [-1.0])
+        with pytest.raises(ValidationError):
+            stats.ks_test_exp1([1.0] * 50 + [0.0])
+        with pytest.raises(ValidationError):
+            stats.ks_test_exp1([1.0] * 50 + [math.nan])
+
+    @pytest.mark.parametrize("n", [1000, 2 * stats._KS_BLOCK,
+                                   2 * stats._KS_BLOCK + 1])
+    def test_blocks_equal_the_full_grid(self, rng, n):
+        # below one block, at an exact multiple of it and one past it, the
+        # statistic and p-value equal those of the unblocked formula
+        x = rng.exponential(1.0, n)
+        x0 = x.copy()
+        xs = np.sort(x)
+        cdf = 1.0 - np.exp(-xs)
+        grid = np.arange(n, dtype=np.float64)
+        d = float(max(np.max(np.abs(cdf - (grid + 1.0) / n)),
+                      np.max(np.abs(cdf - grid / n))))
+        rep = stats.ks_test_exp1(x)
+        assert rep.statistic == d
+        assert rep.p_value == float(scipy.special.kolmogorov(math.sqrt(n) * d))
+        assert np.array_equal(x, x0)    # the input is left alone
+
+    def test_memory_beyond_the_input(self, rng):
+        # a sorted copy and one block of the grid: about 12 bytes a sample
+        # (the unblocked formula held about 40)
+        x = rng.exponential(1.0, 400_000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stats.ks_test_exp1(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * x.size
 
 
 class TestMomentBand:

@@ -75,3 +75,16 @@ def test_raising_check_fails_alone(monkeypatch):
     assert failed.seconds >= 0
     assert suite.results[0].passed and suite.results[2].passed
     json.loads(suite.to_json())
+
+
+def test_particle_criteria_report_their_work():
+    # the runs behind a particle criterion's seconds are in its report
+    suite = verify.run_suite("quick", only=[1, 4, 9])
+    payload = json.loads(suite.to_json())["checks"]
+    assert payload[0]["work"] == {}
+    for c in payload[1:]:
+        work = c["work"]
+        assert work.keys() == {"transitions", "exits", "flights", "segments"}
+        assert work["transitions"] > work["segments"] > work["exits"] > 100
+    assert payload[1]["work"]["flights"] >= payload[1]["work"]["exits"]
+    assert payload[2]["work"]["flights"] == 0   # a recorded trajectory
