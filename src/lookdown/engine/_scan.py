@@ -22,30 +22,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_UNIT_BLOCK_MIN = 1024
-_UNIT_BLOCK_MAX = 65536
+# events per block of a scan
+_UNIT_BLOCK = 1024
 
 
-def unit_step_block(dst: np.ndarray, level: int, step: int):
-    """Hit mask of one block of a scan whose threshold starts at level and
-    moves by step (+1 or -1) at each hit; returns (hit, rounds).
+def unit_step_block(dst: np.ndarray, level: int, step: int) -> list[int]:
+    """Positions of the hits in one block of a scan whose threshold starts
+    at level and moves by step (+1 or -1) at each hit.
 
     Event k hits iff dst[k] <= level + step * H[k], where H[k] counts the
-    hits before k.  Starting from H = 0, each round recomputes the hits from
-    H and H from the hits until H stops changing.  H[0] = 0 is right from
-    the start, and once H[:k+1] is right, hit[k] and so H[k+1] are right a
-    round later, so the fixed point is the sequential answer and takes at
-    most len(dst) rounds (one for an empty block).
+    hits before k: one walk over the block, in plain Python, since the
+    blocks hold a few hundred candidates and a numpy call costs more than
+    a step of the walk.
     """
-    h = np.zeros(len(dst), dtype=np.int64)
-    rounds = 0
-    while True:
-        rounds += 1
-        hit = dst <= level + step * h
-        nxt = hit.cumsum() - hit
-        if (nxt == h).all():
-            return hit, rounds
-        h = nxt
+    hits = []
+    for k, d in enumerate(dst.tolist()):
+        if d <= level:
+            hits.append(k)
+            level += step
+    return hits
 
 
 def unit_step_hits(stream, a: float, b: float, level, step: int, cut,
@@ -70,10 +65,7 @@ def unit_step_hits(stream, a: float, b: float, level, step: int, cut,
     current chunk, the scan draws chunks again from just after the last
     event it has examined.
 
-    Blocks start at _UNIT_BLOCK_MIN events and grow x2 after a block with
-    hits and x4 after one without, up to _UNIT_BLOCK_MAX; a block after a
-    cut starts again at _UNIT_BLOCK_MIN, since at most level + 1 of its
-    hits can hold.
+    Blocks hold _UNIT_BLOCK events, or fewer at the end of a chunk.
     """
     thresh = level()
     if thresh < 2:
@@ -87,7 +79,6 @@ def unit_step_hits(stream, a: float, b: float, level, step: int, cut,
         # so that a climb draws chunks again at every second band edge
         return thresh if step < 0 else 4 * thresh
 
-    block = _UNIT_BLOCK_MIN
     last = None   # the last event examined before chunks are drawn again
     while True:
         chunks = stream.iter_chunks(a, b, reverse=reverse, max_dst=max_dst)
@@ -100,22 +91,18 @@ def unit_step_hits(stream, a: float, b: float, level, step: int, cut,
             if reverse:
                 times, srcs, dsts = times[::-1], srcs[::-1], dsts[::-1]
             while pos < n:
-                hi = min(n, pos + block)
+                hi = min(n, pos + _UNIT_BLOCK)
                 d = dsts[pos:hi]
                 exact = None if step < 0 else thresh + 1
                 cand = np.flatnonzero(d <= bound())
-                hit, _ = unit_step_block(d[cand], thresh, step)
-                idx = pos + cand[hit]
+                idx = pos + cand[unit_step_block(d[cand], thresh, step)]
                 if not idx.size:
-                    pos, block = hi, min(block * 4, _UNIT_BLOCK_MAX)
+                    pos = hi
                     continue
                 k = cut(dsts[idx[:exact]])
                 if k < len(idx) or k == exact:
                     idx = idx[:k]
                     hi = int(idx[-1]) + 1
-                    block = _UNIT_BLOCK_MIN
-                else:
-                    block = min(block * 2, _UNIT_BLOCK_MAX)
                 yield times[idx], srcs[idx], dsts[idx]
                 thresh = level()
                 if thresh < 2:

@@ -56,9 +56,8 @@ fixture_ok = [HealthCheck.function_scoped_fixture]
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    # blocks of 2 to 16 events, so short arrays cross many block edges
-    monkeypatch.setattr(_scan, "_UNIT_BLOCK_MIN", 2)
-    monkeypatch.setattr(_scan, "_UNIT_BLOCK_MAX", 16)
+    # blocks of 3 events, so short arrays cross many block edges
+    monkeypatch.setattr(_scan, "_UNIT_BLOCK", 3)
 
 
 @pytest.fixture
@@ -72,29 +71,33 @@ class TestUnitStepBlock:
     @settings(max_examples=300, deadline=None)
     @given(dst_arrays, st.integers(1, CAP), st.sampled_from([-1, 1]))
     def test_matches_per_event_loop(self, dsts, level, step):
-        hit, rounds = _scan.unit_step_block(dsts, level, step)
-        assert np.flatnonzero(hit).tolist() == unit_step_scan(dsts, level,
-                                                              step)
-        assert rounds <= max(len(dsts), 1)
+        assert _scan.unit_step_block(dsts, level, step) == unit_step_scan(
+            dsts, level, step)
 
     @pytest.mark.parametrize("step", [-1, 1])
     def test_all_hit_and_empty_blocks(self, step):
         twos = np.full(50, 2, dtype=np.int32)
-        hit, _ = _scan.unit_step_block(twos, 51, step)
-        assert hit.all()
-        hit, rounds = _scan.unit_step_block(twos, 1, step)
-        assert not hit.any() and rounds == 1
-        hit, rounds = _scan.unit_step_block(twos[:0], CAP, step)
-        assert hit.size == 0 and rounds == 1
+        assert _scan.unit_step_block(twos, 51, step) == list(range(50))
+        assert _scan.unit_step_block(twos, 1, step) == []
+        assert _scan.unit_step_block(twos[:0], CAP, step) == []
 
-    def test_slow_case_stays_within_block_length(self):
-        # dst c, c, c-1, c-1, ...: the true hits alternate, and every round
-        # from H = 0 settles only a few more of them
+    def test_alternating_hits_match_oracle(self):
+        # dst c, c, c-1, c-1, ...: the true hits alternate, so each hit
+        # depends on every hit before it
         c = 400
         dsts = np.repeat(np.arange(c, c - 200, -1), 2).astype(np.int32)
-        hit, rounds = _scan.unit_step_block(dsts, c, -1)
-        assert np.flatnonzero(hit).tolist() == unit_step_scan(dsts, c, -1)
-        assert len(dsts) // 4 < rounds <= len(dsts)
+        want = unit_step_scan(dsts, c, -1)
+        assert want == list(range(0, len(dsts), 2))
+        assert _scan.unit_step_block(dsts, c, -1) == want
+
+    @pytest.mark.parametrize("step", [-1, 1])
+    def test_long_block_matches_oracle(self, step):
+        # 65,536 events around a threshold of 1000 that moves at each hit
+        rng = np.random.default_rng(3)
+        dsts = rng.integers(2, 2000, size=65_536).astype(np.int32)
+        want = unit_step_scan(dsts, 1000, step)
+        assert len(want) > 100
+        assert _scan.unit_step_block(dsts, 1000, step) == want
 
 
 def _unit_step_run(stream, level0, step, limit, reverse=False):
