@@ -33,7 +33,7 @@ import scipy
 
 from . import __version__, engine, laws, particles, verify, zlaw
 from .errors import (ConfigurationError, InternalError, LookdownError,
-                     StationarityWarning, ValidationError)
+                     ValidationError, warning_summary)
 from .seeding import rng_from
 
 ENV_OUT = "LOOKDOWN_OUT"
@@ -91,18 +91,6 @@ def _peak_rss_mb() -> float:
     return round(kib / 1024, 1)
 
 
-def _warning_summary(caught) -> dict:
-    """Count and first message per warning category; StationarityWarning
-    is always listed."""
-    out = {StationarityWarning.__name__: {"count": 0, "first": None}}
-    for w in caught:
-        entry = out.setdefault(w.category.__name__, {"count": 0, "first": None})
-        entry["count"] += 1
-        if entry["first"] is None:
-            entry["first"] = str(w.message)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # simulate-lookdown
 
@@ -157,7 +145,7 @@ def cmd_simulate_lookdown(args) -> int:
         "sample_spacing": args.sample_spacing, "format": args.format,
     }, outputs, started, metrics={
         **stream.counters(), "simulate_seconds": round(sim_seconds, 3),
-        "peak_rss_mb": _peak_rss_mb()}, warnings=_warning_summary(caught)))
+        "peak_rss_mb": _peak_rss_mb()}, warnings=warning_summary(caught)))
     depth = [row["t"] - row["A"] for row in obs_rows]
     print(f"simulate-lookdown: levels={cfg.level_cap} window="
           f"[{cfg.t_start}, {cfg.t_end}] seed={args.seed}")

@@ -12,8 +12,9 @@ the line level of ``track_line_forward`` and the leader level of
 ``curve_pass`` rise.  A run ends where the lineage meets an event on its
 own level (it jumps to the src) or where the line or the leader reaches
 the level cap.  Within a run, event k hits iff ``dst[k] <= level + step *
-H[k]``, with H[k] the hits before k; ``unit_step_block`` solves that for a
-whole block of events at once, and the caller says where the run ends.
+H[k]``, with H[k] the hits before k.  Each block is narrowed to its
+candidates with numpy, and ``unit_step_block`` walks them once in that
+order, with no fixed point; the caller says where the run ends.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ def unit_step_block(dst: np.ndarray, level: int, step: int) -> list[int]:
     at level and moves by step (+1 or -1) at each hit.
 
     Event k hits iff dst[k] <= level + step * H[k], where H[k] counts the
-    hits before k: one walk over the block, in plain Python, since the
-    blocks hold a few hundred candidates and a numpy call costs more than
-    a step of the walk.
+    hits before k: one walk over the block in plain Python.  A block holds
+    a few hundred candidates, and each hit depends on all the hits before
+    it, so any array route needs several full passes, each of which costs
+    more in numpy call overhead than the walk.
     """
     hits = []
     for k, d in enumerate(dst.tolist()):

@@ -12,9 +12,11 @@ the m-level look-down, so a scan whose threshold stays at or below m reads
 only the bands up to m.  Each band cuts the time axis on its own fixed
 absolute grid, of a power-of-two width chosen so that a slice holds about
 SLICE_EVENTS events and never wider than the band below, so the grids
-nest.  Each slice is synthesized on first touch from an RNG derived from
-(seed, band, slice index) and cached with an eviction budget.  This is
-the stream's one source of events; tests that need given events substitute
+nest.  Each band derives one Philox key from (seed, band) when the
+stream is built; slice k of the band is synthesized on first touch from a
+fresh Philox generator under that key at counter zigzag(k), with no
+per-slice seeding, and cached with an eviction budget.  This is the
+stream's one source of events; tests that need given events substitute
 ``_generate_slice``.
 
 A backward query from level_cap down to one block crosses each band in
@@ -29,7 +31,6 @@ order.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, WindowRangeError
 from ..laws import comb2
-from ..seeding import rng_from
+from ..seeding import seed_sequence, zigzag
 
 FIRST_BAND_TOP = 16
 SLICE_EVENTS = 1000
@@ -62,8 +63,9 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.level_cap < 3:
-            raise ConfigurationError(f"level_cap must be >= 3, got {self.level_cap}")
+        if not 3 <= self.level_cap <= 2**25:
+            raise ConfigurationError(
+                f"level_cap must be in [3, 2^25], got {self.level_cap}")
         if not self.t_end > self.t_start:
             raise ConfigurationError("t_end must exceed t_start")
         if self.burn_in < 0:
@@ -93,14 +95,19 @@ def _slice_widths(edges: list[int]) -> list[float]:
     return widths
 
 
-def _decode_pairs(codes: np.ndarray, lo: int, hi: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Linear pair codes of dsts in (lo, hi] -> (src, dst), pairs ordered
-    by (dst, src): code(src, dst) = C(dst-1, 2) + src - 1."""
-    first = comb2(np.arange(lo, hi, dtype=np.int64))   # code of (1, lo+1), ...
-    j = first.searchsorted(codes, side="right")
-    return ((codes - first[j - 1] + 1).astype(np.int32),
-            (j + lo).astype(np.int32))
+def _decode_pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Linear pair codes -> (src, dst), pairs ordered by (dst, src):
+    code(src, dst) = C(dst-1, 2) + src - 1.
+
+    dst - 1 is the m with C(m, 2) <= code < C(m+1, 2), that is
+    (2m-1)^2 <= x < (2m+1)^2 for x = 8 code + 1, so m is the floor of
+    (1 + sqrt(x)) / 2.  x and (2m+1)^2 are both 1 mod 8, so sqrt(x) is at
+    most about 2m+1 - 4/(2m+1), and a float64 root errs by less than that
+    gap for codes below 2^50 (level caps below 2^25).
+    """
+    m = ((np.sqrt(8.0 * codes + 1.0) + 1.0) * 0.5).astype(np.int64)
+    return ((codes - (m * (m - 1) >> 1) + 1).astype(np.int32),
+            (m + 1).astype(np.int32))
 
 
 class EventStream:
@@ -119,6 +126,9 @@ class EventStream:
         self.config = config
         self._edges = _band_edges(config.level_cap)
         self._widths = _slice_widths(self._edges)
+        self._keys = [seed_sequence(config.seed, "band", b)
+                      .generate_state(2, np.uint64)
+                      for b in range(len(self._widths))]
         self._cache: OrderedDict[tuple[int, int],
                                  tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
         self._cached_events = 0
@@ -154,27 +164,32 @@ class EventStream:
         """Events of band b in its slice k, the open interval (k w, (k+1) w)."""
         c_lo, c_hi = comb2(self._edges[b]), comb2(self._edges[b + 1])
         w = self._widths[b]
-        rng = rng_from(self.config.seed, "band", b, "slice", k)
+        start, end = k * w, (k + 1) * w
+        # a fresh generator per slice: no state carries between slices
+        rng = np.random.Generator(np.random.Philox(
+            key=self._keys[b], counter=[0, zigzag(k), 0, 0]))
         n = int(rng.poisson((c_hi - c_lo) * w))
         # times sorted by construction: uniform order statistics realized
         # as normalized exponential spacings (no sort needed)
-        cum = np.cumsum(rng.standard_exponential(n + 1))
-        times = k * w + (w / cum[-1]) * cum[:-1]
+        cum = rng.standard_exponential(n + 1).cumsum()
+        times = cum[:-1]
+        times *= w / cum[-1]
+        times += start
         codes = rng.integers(c_lo, c_hi, size=n)
-        if n and not (times[0] > k * w and times[-1] < (k + 1) * w):
+        if n and not (times[0] > start and times[-1] < end):
             # grid lines belong to no slice; a time rounded onto one is
             # measure-zero
-            keep = (times > k * w) & (times < (k + 1) * w)
+            keep = (times > start) & (times < end)
             times, codes = times[keep], codes[keep]
-        srcs, dsts = _decode_pairs(codes, self._edges[b], self._edges[b + 1])
+        srcs, dsts = _decode_pairs(codes)
         tie = times[1:] == times[:-1]
         if tie.any():
             dup = tie & (np.diff(srcs) == 0) & (np.diff(dsts) == 0)
             keep = np.concatenate(([True], ~dup))
             times, srcs, dsts = times[keep], srcs[keep], dsts[keep]
-        # clip to the stream window
         lo, hi = self.window
-        if times.size and (times[0] < lo or times[-1] > hi):
+        if start < lo or end > hi:
+            # the slice straddles an edge of the stream window
             mask = (times >= lo) & (times <= hi)
             times, srcs, dsts = times[mask], srcs[mask], dsts[mask]
         return times, srcs, dsts
@@ -281,9 +296,12 @@ def generate_event_stream(config: EngineConfig) -> EventStream:
 
 def export_events_jsonl(stream: EventStream, path) -> None:
     """One record per event in [t_start, t_end] (burn-in left out),
-    {"t": float, "i": src, "j": dst}, time-sorted."""
+    {"t": float, "i": src, "j": dst}, time-sorted, written as json.dumps
+    writes it: the times are finite, and repr is json's float format."""
     cfg = stream.config
     with open(path, "w") as fh:
         for times, srcs, dsts in stream.iter_chunks(cfg.t_start, cfg.t_end):
-            for t, i, j in zip(times.tolist(), srcs.tolist(), dsts.tolist()):
-                fh.write(json.dumps({"t": t, "i": i, "j": j}) + "\n")
+            fh.write("".join(
+                f'{{"t": {t!r}, "i": {i}, "j": {j}}}\n'
+                for t, i, j in zip(times.tolist(), srcs.tolist(),
+                                   dsts.tolist())))

@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the summary
+of caught warnings that run reports carry."""
 
 
 class LookdownError(Exception):
@@ -39,3 +40,15 @@ class InternalError(LookdownError):
 
 class StationarityWarning(UserWarning):
     """Query made with less history than the configured burn-in."""
+
+
+def warning_summary(caught) -> dict:
+    """Count and first message per category of the caught warnings;
+    StationarityWarning is always listed."""
+    out = {StationarityWarning.__name__: {"count": 0, "first": None}}
+    for w in caught:
+        entry = out.setdefault(w.category.__name__, {"count": 0, "first": None})
+        entry["count"] += 1
+        if entry["first"] is None:
+            entry["first"] = str(w.message)
+    return out

@@ -1,9 +1,11 @@
 """Deterministic RNG derivation.
 
-All randomness flows from a single 64-bit seed.  Substreams (per slice,
+All randomness flows from a single 64-bit seed.  Substreams (per band,
 per replicate, per subsystem) are derived through ``numpy.random.SeedSequence``
 spawn keys, so results do not depend on the order in which substreams are
-first used.
+first used.  The event stream's slices take no ``SeedSequence`` of their
+own: each band derives one key here, and slice k of the band is the
+counter ``zigzag(k)`` of a counter-based generator under that key.
 """
 
 from __future__ import annotations
@@ -20,8 +22,12 @@ def _encode(part: int | str) -> int:
         for ch in part.encode("utf-8"):
             h = (h * 131 + ch) & _MASK64
         return h
-    n = int(part)
-    # zigzag so negative slice indices stay distinct from positive ones
+    return zigzag(int(part))
+
+
+def zigzag(n: int) -> int:
+    """0, -1, 1, -2, 2, ... -> 0, 1, 2, 3, 4, ...: negative indices stay
+    distinct from positive ones in an unsigned 64-bit word."""
     return (n << 1) & _MASK64 if n >= 0 else ((-n << 1) - 1) & _MASK64
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine, laws, mutations, particles, stats, zlaw
-from .errors import ConfigurationError
+from .errors import ConfigurationError, warning_summary
 from .seeding import child_seed, rng_from
 
 DEFAULT_SEED = 20260809
@@ -60,8 +60,12 @@ class CheckResult:
     detail: str
     seconds: float = 0.0
     reports: list[dict] = field(default_factory=list)
-    # the work behind ``seconds``: a particle run's ``counters()``
+    # the work behind ``seconds``: a particle run's ``counters()``, and
+    # the summed ``counters()`` of the engine streams the check read
     work: dict = field(default_factory=dict)
+    # count and first message per category of the warnings the check
+    # caught, for a check that expects some
+    warnings: dict = field(default_factory=dict)
 
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
@@ -72,7 +76,7 @@ class CheckResult:
         return {"name": self.name, "criterion": self.criterion,
                 "pass": self.passed, "detail": self.detail,
                 "seconds": self.seconds, "work": self.work,
-                "reports": self.reports}
+                "warnings": self.warnings, "reports": self.reports}
 
 
 @dataclass
@@ -232,12 +236,21 @@ def check_z_by_simulation(p: dict, seed: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 # criterion 6: look-down observables
 
-def _lookdown_LI_samples(levels: int, n: int, seed: int):
+def _add_work(work: dict, stream) -> dict:
+    """Add an engine stream's ``counters()`` into work."""
+    for k, v in stream.counters().items():
+        work[k] = work.get(k, 0) + v
+    return work
+
+
+def _lookdown_LI_samples(levels: int, n: int, seed: int, work: dict):
     ls, iis = [], []
     for r in range(n):
         cfg = engine.EngineConfig(level_cap=levels, t_start=0.0, t_end=0.5,
                                   burn_in=40.0, seed=child_seed(seed, "rep", r))
-        obs = engine.observables_at(engine.generate_event_stream(cfg), 0.0)
+        stream = engine.generate_event_stream(cfg)
+        obs = engine.observables_at(stream, 0.0)
+        _add_work(work, stream)
         ls.append(obs.fixation_level)
         iis.append(obs.coalescent_level)
     return ls, iis
@@ -245,7 +258,8 @@ def _lookdown_LI_samples(levels: int, n: int, seed: int):
 
 def check_lookdown_observables(p: dict, seed: int) -> CheckResult:
     n, levels = p["c6_n"], p["c6_levels"]
-    ls, iis = _lookdown_LI_samples(levels, n, child_seed(seed, "c6"))
+    work: dict = {}
+    ls, iis = _lookdown_LI_samples(levels, n, child_seed(seed, "c6"), work)
     # at level cap N, L follows the K chain's marginal K^N exactly
     rep = stats.chi_square_gof(stats.empirical_pmf(ls),
                                laws.K_table(levels, 8), alpha=ALPHA,
@@ -265,7 +279,7 @@ def check_lookdown_observables(p: dict, seed: int) -> CheckResult:
         name="lookdown-observables", criterion=6, passed=ok,
         detail=(f"N={levels}, n={n}: chi2(L) p={rep.p_value:.4f}; "
                 f"P[L=2,I=i] worst |z|={worst_z:.2f} (<=4)"),
-        reports=[rep.to_dict()])
+        reports=[rep.to_dict()], work=work)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +320,7 @@ def check_establishment_times(p: dict, seed: int) -> CheckResult:
         name="exponential-establishments", criterion=7, passed=ok,
         detail=(f"{pp.establishment.size} exits: gap KS p={ks_gaps.p_value:.4f}; "
                 f"per-bin E-t KS p: [{', '.join(bin_detail)}] (all > {ALPHA})"),
-        reports=reports)
+        reports=reports, work=stream.counters())
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +369,9 @@ def _replay_jump_back(events, cap: int) -> tuple[int, int]:
     return n_exits, violations
 
 
-def check_structural_equalities(p: dict, seed: int) -> CheckResult:
-    reps = p["c9_reps"]
-    n_curves = n_z = 0
+def _curve_and_z_equalities(reps: int, seed: int, work: dict) -> str | None:
+    """Each rep's fixation and coalescent step functions agree, and so do
+    its three definitions of Z; the first disagreement, or None."""
     for r in range(reps):
         cfg = engine.EngineConfig(level_cap=30, t_start=0.0, t_end=40.0,
                                   burn_in=15.0, seed=child_seed(seed, "c9", r))
@@ -365,20 +379,14 @@ def check_structural_equalities(p: dict, seed: int) -> CheckResult:
         curves = engine.extract_fixation_curves(stream, window=(0.0, 40.0))
         closed = [c for c in curves if not c.is_open and c.birth > 1.0]
         if not closed:
-            return CheckResult(name="structural-equalities", criterion=9,
-                               passed=False, detail=f"rep {r}: no closed curve")
+            return f"rep {r}: no closed curve"
         c0 = closed[r % len(closed)]
         curve_back = engine.coalescent_curve(stream, float(c0.exit_time))
         fix_steps = c0.steps()
         coa_steps = [s for s in curve_back.steps() if s[1] < cfg.level_cap]
         if fix_steps != coa_steps or curve_back.mrca_time != c0.birth:
-            return CheckResult(
-                name="structural-equalities", criterion=9, passed=False,
-                detail=f"rep {r}: fixation/coalescent step functions differ")
-        n_curves += 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pp = engine.mrca_point_process(stream, window=(0.0, 40.0))
+            return f"rep {r}: fixation/coalescent step functions differ"
+        pp = engine.mrca_point_process(stream, window=(0.0, 40.0))
         for q in (10.0, 20.0, 30.0):
             z_pp = pp.z_at(q)
             z_curves = sum(1 for c in curves
@@ -386,10 +394,23 @@ def check_structural_equalities(p: dict, seed: int) -> CheckResult:
                                                or c.exit_time > q))
             z_obs = engine.observables_at(stream, q).curve_count
             if not z_pp == z_curves == z_obs:
-                return CheckResult(
-                    name="structural-equalities", criterion=9, passed=False,
-                    detail=f"rep {r}: Z definitions disagree at t={q}")
-            n_z += 1
+                return f"rep {r}: Z definitions disagree at t={q}"
+        _add_work(work, stream)
+    return None
+
+
+def check_structural_equalities(p: dict, seed: int) -> CheckResult:
+    reps = p["c9_reps"]
+    work: dict = {}
+    # warnings the engine raises here, such as a StationarityWarning, are
+    # counted in the report, not silenced
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        failure = _curve_and_z_equalities(reps, seed, work)
+    if failure is not None:
+        return CheckResult(name="structural-equalities", criterion=9,
+                           passed=False, detail=failure, work=work,
+                           warnings=warning_summary(caught))
     pcfg = particles.ParticleSimConfig(particle_cap=60, horizon=300.0,
                                        seed=child_seed(seed, "c9", "jump"))
     rows: list[particles.TransitionEvent] = []
@@ -398,10 +419,10 @@ def check_structural_equalities(p: dict, seed: int) -> CheckResult:
     ok = violations == 0 and n_exits > 50
     return CheckResult(
         name="structural-equalities", criterion=9, passed=ok,
-        detail=(f"{n_curves} exact curve equalities, {n_z} Z cross-checks, "
+        detail=(f"{reps} exact curve equalities, {3 * reps} Z cross-checks, "
                 f"jump-back verified at {n_exits} exits "
                 f"({violations} violations)"),
-        work=run.counters())
+        work={**work, **run.counters()}, warnings=warning_summary(caught))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +451,8 @@ def check_substitutions(p: dict, seed: int) -> CheckResult:
     horizon = p["c11_horizon"]
     cfg = engine.EngineConfig(level_cap=100, t_start=0.0, t_end=horizon,
                               burn_in=30.0, seed=child_seed(seed, "c11"))
-    pp = engine.mrca_point_process(engine.generate_event_stream(cfg))
+    stream = engine.generate_event_stream(cfg)
+    pp = engine.mrca_point_process(stream)
     mcfg = mutations.MutationConfig(theta=2.0, seed=child_seed(seed, "c11", "m"))
     events = mutations.simulate_substitutions(
         pp, mcfg, rng_from(mcfg.seed, "subst"))
@@ -446,7 +468,8 @@ def check_substitutions(p: dict, seed: int) -> CheckResult:
         detail=(f"{pp.establishment.size} MRCA points, {len(events)} "
                 f"substitution events: mass rate {rate:.4f} vs 1 "
                 f"(|z|={z_rate:.2f} <= 3); dispersion {disp:.3f} "
-                f"(z={z_disp:.1f} > 4)"))
+                f"(z={z_disp:.1f} > 4)"),
+        work=stream.counters())
 
 
 CHECKS = [

@@ -199,9 +199,17 @@ class TestFixationCurves:
             assert c.steps() == coal_steps
 
     def test_open_flagging(self):
-        st = _stream(20, 5.0, seed=14)
-        curves = engine.extract_fixation_curves(st, window=(0.0, 5.0))
-        assert any(c.is_open for c in curves)
+        # the curves still open at a window end q are the Z_q curves born
+        # after A_q: end the window at the first grid time with A_q inside
+        # it and Z_q > 0.  P[Z = 0] is about 0.37 at N = 20 and the grid
+        # times are two mean MRCA depths apart, so some of the 48 has
+        # Z_q > 0 but with probability far below 1e-9
+        st = _stream(20, 100.0, seed=14)
+        obs = next(o for o in (engine.observables_at(st, float(q))
+                               for q in np.arange(5.0, 100.0, 2.0))
+                   if o.curve_count > 0 and o.mrca_time > 0.0)
+        curves = engine.extract_fixation_curves(st, window=(0.0, obs.time))
+        assert sum(c.is_open for c in curves) == obs.curve_count
         for c in curves:
             assert c.is_open == (c.exit_time is None)
 

@@ -7,7 +7,9 @@ import pytest
 
 from lookdown import engine
 from lookdown.engine import _scan
+from lookdown.engine import stream as stream_module
 from lookdown.errors import ConfigurationError, WindowRangeError
+from lookdown.laws import comb2
 from lookdown.seeding import rng_from
 
 from oracle import events_between, fixed_stream, unit_step_scan, window_events
@@ -27,6 +29,10 @@ class TestConfig:
             engine.EngineConfig(level_cap=3, t_start=1, t_end=1)
         with pytest.raises(ConfigurationError):
             engine.EngineConfig(level_cap=3, t_start=0, t_end=1, burn_in=-1)
+        # pair codes decode exactly up to this cap
+        engine.EngineConfig(level_cap=2**25, t_start=0, t_end=1)
+        with pytest.raises(ConfigurationError):
+            engine.EngineConfig(level_cap=2**25 + 1, t_start=0, t_end=1)
 
     def test_window(self):
         cfg = engine.EngineConfig(level_cap=5, t_start=2.0, t_end=9.0,
@@ -35,6 +41,19 @@ class TestConfig:
 
 
 class TestGeneration:
+    def test_pair_codes_decode_exactly_up_to_the_largest_cap(self):
+        # at each dst, the first pair (1, dst) and the last (dst - 1, dst)
+        # are the codes nearest a change of dst
+        dst = np.unique(np.concatenate([
+            np.arange(2, 5000),
+            np.geomspace(5000, 2**25, 3000).astype(np.int64)]))
+        first = comb2(dst - 1)
+        srcs, dsts = stream_module._decode_pairs(
+            np.concatenate([first, first + dst - 2]))
+        assert np.array_equal(dsts, np.concatenate([dst, dst]))
+        assert np.array_equal(srcs, np.concatenate([np.ones_like(dst),
+                                                    dst - 1]))
+
     def test_mean_count_three_pairs(self):
         # three pairs at rate one each over T=100
         t, s, d = window_events(_stream())
@@ -97,6 +116,49 @@ class TestGeneration:
         import scipy.stats
         p = scipy.stats.chi2.sf(stat, (table.shape[0] - 1) * (table.shape[1] - 1))
         assert p > 0.001
+
+
+class TestSlicesFromCounters:
+    """Slice k of band b comes from a fresh generator keyed by (seed, b)
+    at counter zigzag(k), so a slice depends on nothing else."""
+
+    CFG = dict(level_cap=100, t_start=-4.0, t_end=4.0, burn_in=0.0, seed=17)
+
+    def test_order_and_eviction_leave_slices_bit_identical(self,
+                                                           monkeypatch):
+        cfg = engine.EngineConfig(**self.CFG)
+        # codes below 2^32: integers draws 32-bit words two to a 64-bit
+        # output and keeps the spare one, which a generator shared between
+        # slices would carry from one to the next
+        assert comb2(cfg.level_cap) < 2**32
+        ref = engine.generate_event_stream(cfg)
+        keys = [(b, k) for b, w in enumerate(ref._widths)
+                for k in range(math.floor(-4.0 / w), math.ceil(4.0 / w))]
+        want = {key: ref._slice(*key) for key in keys}
+        assert ref.counters()["cache_evictions"] == 0
+        monkeypatch.setattr(stream_module, "CACHE_EVENT_BUDGET", 2000)
+        st = engine.generate_event_stream(cfg)
+        order = np.random.default_rng(0)
+        for _ in range(2):   # the second pass regenerates evicted slices
+            for i in order.permutation(len(keys)):
+                for x, y in zip(st._slice(*keys[i]), want[keys[i]]):
+                    assert np.array_equal(x, y)
+        assert st.counters()["cache_evictions"] > len(keys)
+        assert st.counters()["slices_generated"] > len(keys)
+
+    def test_slices_and_bands_draw_apart(self):
+        st = engine.generate_event_stream(engine.EngineConfig(
+            level_cap=100, t_start=-40.0, t_end=40.0, burn_in=0.0, seed=17))
+        for b, w in enumerate(st._widths):
+            for k in (0, 1, 2, 3):
+                # a counter that dropped the sign would give k and -k the
+                # same draws
+                pos, neg = st._generate_slice(b, k), st._generate_slice(b, -k)
+                if k:
+                    assert not np.array_equal(pos[2], neg[2])
+                assert pos[0].size > 100
+        keys = [tuple(key.tolist()) for key in st._keys]
+        assert len(set(keys)) == len(keys) == 4
 
 
 class TestFixedStream:
@@ -164,3 +226,21 @@ class TestQueriesAndExport:
         assert rows[0]["t"] == t[0]
         times = [r["t"] for r in rows]
         assert times == sorted(times)
+
+    def test_jsonl_export_is_json_dumps(self, tmp_path):
+        # byte for byte what json.dumps writes, on a stream with times of
+        # every sign and size, integers among them
+        st = fixed_stream(
+            engine.EngineConfig(level_cap=6, t_start=-3.0, t_end=5e3,
+                                burn_in=1.0, seed=0),
+            [(-3.5, 1, 2), (-3.0, 2, 3), (-1e-300, 1, 6), (0.0, 4, 5),
+             (1 / 3, 1, 2), (2.0, 3, 6), (123.456789012345678, 2, 4),
+             (4999.999999999999, 1, 3), (5e3, 5, 6)])
+        path = tmp_path / "events.jsonl"
+        engine.export_events_jsonl(st, path)
+        t, s, d = events_between(st, -3.0, 5e3)
+        want = "".join(json.dumps({"t": a, "i": b, "j": c}) + "\n"
+                       for a, b, c in zip(t.tolist(), s.tolist(),
+                                          d.tolist()))
+        assert len(t) == 8
+        assert path.read_text() == want

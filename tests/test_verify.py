@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import pytest
 
 from lookdown import verify, zlaw
+from lookdown.engine import genealogy
 from lookdown.errors import ConfigurationError
 
 
@@ -77,6 +79,11 @@ def test_raising_check_fails_alone(monkeypatch):
     json.loads(suite.to_json())
 
 
+PARTICLE_WORK = {"transitions", "exits", "flights", "segments"}
+ENGINE_WORK = {"slices_generated", "events_generated", "cache_hits",
+               "cache_evictions"}
+
+
 def test_particle_criteria_report_their_work():
     # the runs behind a particle criterion's seconds are in its report
     suite = verify.run_suite("quick", only=[1, 4, 9])
@@ -84,7 +91,39 @@ def test_particle_criteria_report_their_work():
     assert payload[0]["work"] == {}
     for c in payload[1:]:
         work = c["work"]
-        assert work.keys() == {"transitions", "exits", "flights", "segments"}
+        # criterion 9 reads engine streams too
+        assert work.keys() == PARTICLE_WORK | (
+            ENGINE_WORK if c["criterion"] == 9 else set())
         assert work["transitions"] > work["segments"] > work["exits"] > 100
     assert payload[1]["work"]["flights"] >= payload[1]["work"]["exits"]
     assert payload[2]["work"]["flights"] == 0   # a recorded trajectory
+
+
+def test_engine_criteria_report_their_work():
+    # the streams behind an engine criterion's seconds are in its report,
+    # summed over the streams it builds
+    suite = verify.run_suite("quick", only=[6, 7, 9, 11])
+    assert suite.all_passed
+    payload = json.loads(suite.to_json())["checks"]
+    for c in payload:
+        work = c["work"]
+        assert work.keys() >= ENGINE_WORK
+        assert work["events_generated"] > work["slices_generated"] > 100
+    # criterion 6 builds one stream per query, 500 of them
+    assert payload[0]["work"]["slices_generated"] >= 500
+    assert payload[2]["work"].keys() == ENGINE_WORK | PARTICLE_WORK
+
+
+def test_warnings_are_counted_not_silenced(monkeypatch):
+    # a longer warm-up puts the window start of criterion 9's point
+    # processes inside it, so each of its 15 quick reps warns once
+    monkeypatch.setattr(genealogy, "_MIN_WARMUP", 20.0)
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        suite = verify.run_suite("quick", only=[9])
+    assert not escaped
+    (check,) = json.loads(suite.to_json())["checks"]
+    assert check["pass"]
+    entry = check["warnings"]["StationarityWarning"]
+    assert entry["count"] == 15
+    assert "warm-up" in entry["first"]
