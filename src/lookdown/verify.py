@@ -63,8 +63,8 @@ class CheckResult:
     # the work behind ``seconds``: a particle run's ``counters()``, and
     # the summed ``counters()`` of the engine streams the check read
     work: dict = field(default_factory=dict)
-    # count and first message per category of the warnings the check
-    # caught, for a check that expects some
+    # count and first message per category of the warnings a check that
+    # records them caught
     warnings: dict = field(default_factory=dict)
 
     def line(self) -> str:
@@ -236,11 +236,10 @@ def check_z_by_simulation(p: dict, seed: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 # criterion 6: look-down observables
 
-def _add_work(work: dict, stream) -> dict:
+def _add_work(work: dict, stream) -> None:
     """Add an engine stream's ``counters()`` into work."""
     for k, v in stream.counters().items():
         work[k] = work.get(k, 0) + v
-    return work
 
 
 def _lookdown_LI_samples(levels: int, n: int, seed: int, work: dict):

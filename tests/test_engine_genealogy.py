@@ -202,8 +202,8 @@ class TestFixationCurves:
         # the curves still open at a window end q are the Z_q curves born
         # after A_q: end the window at the first grid time with A_q inside
         # it and Z_q > 0.  P[Z = 0] is about 0.37 at N = 20 and the grid
-        # times are two mean MRCA depths apart, so some of the 48 has
-        # Z_q > 0 but with probability far below 1e-9
+        # times are two mean MRCA depths apart, so the chance that none of
+        # the 48 qualifies is far below 1e-9
         st = _stream(20, 100.0, seed=14)
         obs = next(o for o in (engine.observables_at(st, float(q))
                                for q in np.arange(5.0, 100.0, 2.0))
