@@ -136,7 +136,7 @@ def _events_through(times, srcs, dsts, last, reverse: bool) -> int:
     return int(np.count_nonzero((s < s0) | ((s == s0) & (d <= d0))))
 
 
-def backward_drops(stream, t: float, s_floor: float | None = None):
+def backward_drops(stream, t: float):
     """Backward block-count scan from t with C starting at level_cap.
 
     Every event with dst <= C, walking backward, drops C by one, down to
@@ -145,13 +145,12 @@ def backward_drops(stream, t: float, s_floor: float | None = None):
     (in forward time) to level_cap - m, so times[::-1] ascends and maps to
     values 2..level_cap when c_final == 1.
     """
-    lo = stream.window[0] if s_floor is None else max(s_floor, stream.window[0])
     cap = stream.config.level_cap
     empty = np.empty(0, dtype=np.int32)
     parts = [(empty.astype(np.float64), empty, empty)]
     n = 0
-    for block in unit_step_hits(stream, lo, t, lambda: cap - n, -1, len,
-                                reverse=True):
+    for block in unit_step_hits(stream, stream.window[0], t, lambda: cap - n,
+                                -1, len, reverse=True):
         parts.append(block)
         n += len(block[0])
     times, srcs, dsts = (np.concatenate(x) for x in zip(*parts))

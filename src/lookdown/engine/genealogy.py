@@ -33,7 +33,7 @@ class CoalescentCurve:
     knot_times[m] is where the count jumps up to lowest_value + 1 + m in
     forward time; the count is lowest_value below all knots and level_cap
     from the last knot up to the reference time.  A truncated curve ran out
-    of window (or s_min) before reaching one block.
+    of window before reaching one block.
     """
 
     knot_times: np.ndarray
@@ -52,17 +52,14 @@ class CoalescentCurve:
         return float(self.knot_times[0])
 
 
-def coalescent_curve(stream: EventStream, t: float,
-                     s_min: float | None = None) -> CoalescentCurve:
-    """Trace C_s^t backward from t (to s_min, if given, else until one block).
+def coalescent_curve(stream: EventStream, t: float) -> CoalescentCurve:
+    """Trace C_s^t backward from t until one block, or the window start.
 
     Jumps happen exactly at look-down events among the occupied ancestral
     levels; the expected time to reach one block is 2(1 - 1/level_cap).
     """
     stream.require_inside(t)
-    if s_min is not None and not s_min < t:
-        raise WindowRangeError("s_min must lie strictly below t")
-    knots_desc, _, _, c_final = _scan.backward_drops(stream, t, s_floor=s_min)
+    knots_desc, _, _, c_final = _scan.backward_drops(stream, t)
     return CoalescentCurve(
         knot_times=knots_desc[::-1],
         lowest_value=c_final,

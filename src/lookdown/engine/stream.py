@@ -13,11 +13,11 @@ only the bands up to m.  Each band cuts the time axis on its own fixed
 absolute grid, of a power-of-two width chosen so that a slice holds about
 SLICE_EVENTS events and never wider than the band below, so the grids
 nest.  Each band derives one Philox key from (seed, band) when the
-stream is built; slice k of the band is synthesized on first touch from a
-fresh Philox generator under that key at counter zigzag(k), with no
-per-slice seeding, and cached with an eviction budget.  This is the
-stream's one source of events; tests that need given events substitute
-``_generate_slice``.
+stream is built; slice k of the band is synthesized on first touch by the
+stream's one Philox generator, set to that key at counter zigzag(k) with
+nothing buffered, with no per-slice seeding, and cached with an eviction
+budget.  This is the stream's one source of events; tests that need given
+events substitute ``_generate_slice``.
 
 A backward query from level_cap down to one block crosses each band in
 about 2/(lowest level of the band) time units, so it reads about
@@ -116,9 +116,10 @@ class EventStream:
 
     The events are fixed by the config and its seed, and generated slice by
     slice in ``_generate_slice``, the one source of events; tests replay
-    given events by overriding it.  Queries mutate only the slice cache and
-    plain counters of its traffic (``counters()``), so threads that share a
-    stream and consume disjoint, already-generated ranges need no lock; the
+    given events by overriding it.  Queries mutate only the slice cache,
+    plain counters of its traffic (``counters()``) and, when they generate
+    a slice, the stream's generator; so threads that share a stream and
+    consume disjoint, already-generated ranges need no lock, and the
     counters may then miss updates.
     """
 
@@ -129,6 +130,9 @@ class EventStream:
         self._keys = [seed_sequence(config.seed, "band", b)
                       .generate_state(2, np.uint64)
                       for b in range(len(self._widths))]
+        # each slice sets the whole state, so the seed here is never used
+        self._bitgen = np.random.Philox(0)
+        self._rng = np.random.Generator(self._bitgen)
         self._cache: OrderedDict[tuple[int, int],
                                  tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
         self._cached_events = 0
@@ -165,9 +169,14 @@ class EventStream:
         c_lo, c_hi = comb2(self._edges[b]), comb2(self._edges[b + 1])
         w = self._widths[b]
         start, end = k * w, (k + 1) * w
-        # a fresh generator per slice: no state carries between slices
-        rng = np.random.Generator(np.random.Philox(
-            key=self._keys[b], counter=[0, zigzag(k), 0, 0]))
+        # the full state, buffers emptied: no state carries between slices
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([0, zigzag(k), 0, 0], np.uint64),
+                      "key": self._keys[b]},
+            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        rng = self._rng
         n = int(rng.poisson((c_hi - c_lo) * w))
         # times sorted by construction: uniform order statistics realized
         # as normalized exponential spacings (no sort needed)

@@ -8,6 +8,7 @@ pinned here; nothing is deferred to later calibration.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -29,42 +30,37 @@ SAMPLE_SPACING = 5.0
 PROFILES = {
     "full": dict(
         c3_draws=100_000, c3_horizon=200_000.0,
-        c4_horizon=11_000.0,
-        c5_samples=10_000,
         c6_n=5_000, c6_levels=1_000,
         c7_horizon=22_000.0, c7_min_bin=300, c7_skip_small=False,
         c8_draws=100_000,
         c9_reps=100,
         c10_draws=100_000,
-        c11_horizon=13_000.0,
     ),
     "quick": dict(
         c3_draws=20_000, c3_horizon=8_000.0,
-        c4_horizon=1_500.0,
-        c5_samples=1_500,
         c6_n=500, c6_levels=300,
         c7_horizon=3_000.0, c7_min_bin=50, c7_skip_small=True,
         c8_draws=20_000,
         c9_reps=15,
         c10_draws=20_000,
-        c11_horizon=2_500.0,
     ),
 }
 
 
 @dataclass
 class CheckResult:
-    name: str
-    criterion: int
     passed: bool
     detail: str
-    seconds: float = 0.0
     reports: list[dict] = field(default_factory=list)
-    # the work behind ``seconds``: a particle run's ``counters()``, and
-    # the summed ``counters()`` of the engine streams the check read
+    # the counters of the runs the check read, particle or engine; a run
+    # an earlier check made is in both reports
     work: dict = field(default_factory=dict)
-    # count and first message per category of the warnings a check that
-    # records them caught
+    # run_suite sets the rest: number and name from the check's place in
+    # CHECKS and its function's name; the seconds the check spent itself,
+    # near zero when it reads an earlier check's run; its warnings, counted
+    name: str = ""
+    criterion: int = 0
+    seconds: float = 0.0
     warnings: dict = field(default_factory=dict)
 
     def line(self) -> str:
@@ -116,14 +112,14 @@ def check_exact_constants(p: dict, seed: int) -> CheckResult:
     errs = {k: abs(a - b) for k, (a, b) in targets.items()}
     worst = max(errs, key=errs.get)
     return CheckResult(
-        name="exact-constants", criterion=1, passed=max(errs.values()) < tol,
+        passed=max(errs.values()) < tol,
         detail=f"worst |err| = {errs[worst]:.2e} at {worst} (tol {tol:.0e})")
 
 
 # ---------------------------------------------------------------------------
 # criterion 2: dual-method identities
 
-def check_dual_methods(p: dict, seed: int) -> CheckResult:
+def check_dual_method_identities(p: dict, seed: int) -> CheckResult:
     x_err = max(abs(zlaw.x_k_series(k) - float(zlaw.x_k_closed(k)))
                 for k in range(1, 11))
     p_err = max(abs(float(zlaw.p_z_recursive(z))
@@ -132,10 +128,9 @@ def check_dual_methods(p: dict, seed: int) -> CheckResult:
                   for u in (0.0, 0.25, 0.5, 0.75, 1.0))
     norm_err = abs(zlaw.pgf_Z(1.0) - 1.0)
     ok = x_err < 1e-9 and p_err < 1e-10 and pgf_err < 1e-8 and norm_err < 1e-9
-    return CheckResult(
-        name="dual-method-identities", criterion=2, passed=ok,
-        detail=(f"x_k {x_err:.2e} (<1e-9), p_z {p_err:.2e} (<1e-10), "
-                f"pgf {pgf_err:.2e} (<1e-8), pgf(1)-1 {norm_err:.2e} (<1e-9)"))
+    return CheckResult(passed=ok, detail=(
+        f"x_k {x_err:.2e} (<1e-9), p_z {p_err:.2e} (<1e-10), "
+        f"pgf {pgf_err:.2e} (<1e-8), pgf(1)-1 {norm_err:.2e} (<1e-9)"))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +149,16 @@ def _config_cell(levels):
     return "other"
 
 
+@functools.lru_cache(maxsize=1)
+def _equilibrium_run(horizon: float, seed: int) -> particles.ParticleRunResult:
+    """The stationary particle run at cap 10^4 that criteria 3, 4 and 5
+    read; run_suite keeps it for one call."""
+    cfg = particles.ParticleSimConfig(
+        particle_cap=10_000, horizon=horizon,
+        seed=child_seed(seed, "c3", "sim"), burn_in=50.0)
+    return particles.simulate(cfg, sample_spacing=SAMPLE_SPACING)
+
+
 def check_particle_equilibrium(p: dict, seed: int) -> CheckResult:
     exact = laws.pi_table(10, 3)
     rng = rng_from(seed, "c3", "stationary")
@@ -162,10 +167,7 @@ def check_particle_equilibrium(p: dict, seed: int) -> CheckResult:
     rep1 = stats.chi_square_gof(stats.empirical_pmf(draws), exact,
                                 alpha=ALPHA, name="sample_stationary_vs_pi")
 
-    cfg = particles.ParticleSimConfig(
-        particle_cap=10_000, horizon=p["c3_horizon"],
-        seed=child_seed(seed, "c3", "sim"), burn_in=50.0)
-    run = particles.simulate(cfg, sample_spacing=SAMPLE_SPACING)
+    run = _equilibrium_run(p["c3_horizon"], seed)
     occ = [_config_cell(c) for c in run.sample_configs]
     rep2 = stats.chi_square_gof(stats.empirical_pmf(occ), exact,
                                 alpha=ALPHA, name="occupation_vs_pi")
@@ -180,11 +182,10 @@ def check_particle_equilibrium(p: dict, seed: int) -> CheckResult:
     rep3 = stats.chi_square_gof(stats.empirical_pmf(post_exit), exact,
                                 alpha=ALPHA, name="post_exit_vs_pi")
     ok = rep1.passed and rep2.passed and rep3.passed
-    return CheckResult(
-        name="particle-equilibrium", criterion=3, passed=ok,
-        detail=(f"chi2 stationary-sampler p={rep1.p_value:.4f}, "
-                f"occupation (n={rep2.n}) p={rep2.p_value:.4f}, "
-                f"post-exit (n={rep3.n}) p={rep3.p_value:.4f} (all > {ALPHA})"),
+    return CheckResult(passed=ok, detail=(
+        f"chi2 stationary-sampler p={rep1.p_value:.4f}, "
+        f"occupation (n={rep2.n}) p={rep2.p_value:.4f}, "
+        f"post-exit (n={rep3.n}) p={rep3.p_value:.4f} (all > {ALPHA})"),
         reports=[rep1.to_dict(), rep2.to_dict(), rep3.to_dict()],
         work=run.counters())
 
@@ -192,11 +193,8 @@ def check_particle_equilibrium(p: dict, seed: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 # criterion 4: Poisson exit process
 
-def check_poisson_exits(p: dict, seed: int) -> CheckResult:
-    cfg = particles.ParticleSimConfig(
-        particle_cap=10_000, horizon=p["c4_horizon"],
-        seed=child_seed(seed, "c4"), burn_in=50.0)
-    run = particles.simulate(cfg)
+def check_poisson_exit_process(p: dict, seed: int) -> CheckResult:
+    run = _equilibrium_run(p["c3_horizon"], seed)
     summary = particles.exit_gap_statistics(run.exits)
     n = summary.n_gaps
     lag_band = 4.0 / math.sqrt(n)
@@ -204,32 +202,26 @@ def check_poisson_exits(p: dict, seed: int) -> CheckResult:
     ok = (summary.ks_report.passed
           and abs(summary.lag1_autocorrelation) <= lag_band
           and abs(summary.dispersion - 1.0) <= disp_band)
-    return CheckResult(
-        name="poisson-exit-process", criterion=4, passed=ok,
-        detail=(f"n={n} gaps: KS p={summary.ks_report.p_value:.4f}, "
-                f"lag1 {summary.lag1_autocorrelation:+.4f} (|.|<={lag_band:.4f}), "
-                f"dispersion {summary.dispersion:.4f} (1 +- {disp_band:.4f})"),
+    return CheckResult(passed=ok, detail=(
+        f"n={n} gaps: KS p={summary.ks_report.p_value:.4f}, "
+        f"lag1 {summary.lag1_autocorrelation:+.4f} (|.|<={lag_band:.4f}), "
+        f"dispersion {summary.dispersion:.4f} (1 +- {disp_band:.4f})"),
         reports=[summary.to_dict()], work=run.counters())
 
 
 # ---------------------------------------------------------------------------
 # criterion 5: Z law by simulation
 
-def check_z_by_simulation(p: dict, seed: int) -> CheckResult:
-    horizon = p["c5_samples"] * SAMPLE_SPACING
-    cfg = particles.ParticleSimConfig(
-        particle_cap=10_000, horizon=horizon,
-        seed=child_seed(seed, "c5"), burn_in=50.0)
-    run = particles.simulate(cfg, sample_spacing=SAMPLE_SPACING)
+def check_z_law_by_simulation(p: dict, seed: int) -> CheckResult:
+    run = _equilibrium_run(p["c3_horizon"], seed)
     zs = [len(c) for c in run.sample_configs]
     rep = stats.chi_square_gof(stats.empirical_pmf(zs), zlaw.pmf_Z_table(6),
                                alpha=ALPHA, name="Z_vs_pmf_Z")
     band = stats.moment_band(zs, target_mean=1.0, name="Z_mean")
     ok = rep.passed and band.passed
-    return CheckResult(
-        name="z-law-by-simulation", criterion=5, passed=ok,
-        detail=(f"n={len(zs)}: chi2 p={rep.p_value:.4f} (> {ALPHA}), "
-                f"mean {np.mean(zs):.4f} z={band.statistic:.2f} (<4)"),
+    return CheckResult(passed=ok, detail=(
+        f"n={len(zs)}: chi2 p={rep.p_value:.4f} (> {ALPHA}), "
+        f"mean {np.mean(zs):.4f} z={band.statistic:.2f} (<4)"),
         reports=[rep.to_dict(), band.to_dict()], work=run.counters())
 
 
@@ -274,22 +266,29 @@ def check_lookdown_observables(p: dict, seed: int) -> CheckResult:
         worst_z = max(worst_z, z)
         joint_ok &= z <= 4.0
     ok = rep.passed and joint_ok
-    return CheckResult(
-        name="lookdown-observables", criterion=6, passed=ok,
-        detail=(f"N={levels}, n={n}: chi2(L) p={rep.p_value:.4f}; "
-                f"P[L=2,I=i] worst |z|={worst_z:.2f} (<=4)"),
+    return CheckResult(passed=ok, detail=(
+        f"N={levels}, n={n}: chi2(L) p={rep.p_value:.4f}; "
+        f"P[L=2,I=i] worst |z|={worst_z:.2f} (<=4)"),
         reports=[rep.to_dict()], work=work)
 
 
 # ---------------------------------------------------------------------------
 # criterion 7: exponential establishment times
 
-def check_establishment_times(p: dict, seed: int) -> CheckResult:
-    horizon = p["c7_horizon"]
+@functools.lru_cache(maxsize=1)
+def _point_process(horizon: float, seed: int):
+    """The MRCA point process at N=100 that criteria 7 and 11 read, and its
+    stream's ``counters()``; run_suite keeps them for one call.  The stream
+    is let go, since its slice cache can hold millions of events."""
     cfg = engine.EngineConfig(level_cap=100, t_start=0.0, t_end=horizon,
                               burn_in=30.0, seed=child_seed(seed, "c7"))
     stream = engine.generate_event_stream(cfg)
-    pp = engine.mrca_point_process(stream)
+    return engine.mrca_point_process(stream), stream.counters()
+
+
+def check_exponential_establishments(p: dict, seed: int) -> CheckResult:
+    horizon = p["c7_horizon"]
+    pp, work = _point_process(horizon, seed)
     ks_gaps = stats.ks_test_exp1(pp.gaps(), alpha=ALPHA, name="E_gaps")
 
     times = np.arange(30.0, horizon - 1.0, 2.0)
@@ -315,11 +314,10 @@ def check_establishment_times(p: dict, seed: int) -> CheckResult:
         bin_ok &= rep.passed
         bin_detail.append(f"{rep.p_value:.3f}")
     ok = ks_gaps.passed and bin_ok
-    return CheckResult(
-        name="exponential-establishments", criterion=7, passed=ok,
-        detail=(f"{pp.establishment.size} exits: gap KS p={ks_gaps.p_value:.4f}; "
-                f"per-bin E-t KS p: [{', '.join(bin_detail)}] (all > {ALPHA})"),
-        reports=reports, work=stream.counters())
+    return CheckResult(passed=ok, detail=(
+        f"{pp.establishment.size} exits: gap KS p={ks_gaps.p_value:.4f}; "
+        f"per-bin E-t KS p: [{', '.join(bin_detail)}] (all > {ALPHA})"),
+        reports=reports, work=dict(work))
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +328,9 @@ def check_mixture_identity(p: dict, seed: int) -> CheckResult:
     ls = laws.sample_L(rng, p["c8_draws"])
     draws = laws.sample_S_batch(ls, rng)
     rep = stats.ks_test_exp1(draws, alpha=ALPHA, name="L_mixture_vs_exp1")
-    return CheckResult(
-        name="mixture-identity", criterion=8, passed=rep.passed,
-        detail=(f"n={p['c8_draws']}: sum_l pmf_L(l) S_l law, "
-                f"KS vs Exp(1) p={rep.p_value:.4f} (> {ALPHA})"),
+    return CheckResult(passed=rep.passed, detail=(
+        f"n={p['c8_draws']}: sum_l pmf_L(l) S_l law, "
+        f"KS vs Exp(1) p={rep.p_value:.4f} (> {ALPHA})"),
         reports=[rep.to_dict()])
 
 
@@ -401,27 +398,20 @@ def _curve_and_z_equalities(reps: int, seed: int, work: dict) -> str | None:
 def check_structural_equalities(p: dict, seed: int) -> CheckResult:
     reps = p["c9_reps"]
     work: dict = {}
-    # warnings the engine raises here, such as a StationarityWarning, are
-    # counted in the report, not silenced
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        failure = _curve_and_z_equalities(reps, seed, work)
+    failure = _curve_and_z_equalities(reps, seed, work)
     if failure is not None:
-        return CheckResult(name="structural-equalities", criterion=9,
-                           passed=False, detail=failure, work=work,
-                           warnings=warning_summary(caught))
+        return CheckResult(passed=False, detail=failure, work=work)
     pcfg = particles.ParticleSimConfig(particle_cap=60, horizon=300.0,
                                        seed=child_seed(seed, "c9", "jump"))
     rows: list[particles.TransitionEvent] = []
     run = particles.simulate(pcfg, trajectory=rows.append)
     n_exits, violations = _replay_jump_back(rows, 60)
     ok = violations == 0 and n_exits > 50
-    return CheckResult(
-        name="structural-equalities", criterion=9, passed=ok,
-        detail=(f"{reps} exact curve equalities, {3 * reps} Z cross-checks, "
-                f"jump-back verified at {n_exits} exits "
-                f"({violations} violations)"),
-        work={**work, **run.counters()}, warnings=warning_summary(caught))
+    return CheckResult(passed=ok, detail=(
+        f"{reps} exact curve equalities, {3 * reps} Z cross-checks, "
+        f"jump-back verified at {n_exits} exits "
+        f"({violations} violations)"),
+        work={**work, **run.counters()})
 
 
 # ---------------------------------------------------------------------------
@@ -437,21 +427,16 @@ def check_tc_and_k_chain(p: dict, seed: int) -> CheckResult:
                {k: laws.K_marginal(j, k) for k in range(1, j)}
                for j in range(2, 51))
     ok = z <= 3.0 and k_ok
-    return CheckResult(
-        name="tc-and-k-chain", criterion=10, passed=ok,
-        detail=(f"T_c mean {draws.mean():.5f} vs {target:.5f} "
-                f"(|z|={z:.2f} <= 3); K marginals exact for j <= 50: {k_ok}"))
+    return CheckResult(passed=ok, detail=(
+        f"T_c mean {draws.mean():.5f} vs {target:.5f} "
+        f"(|z|={z:.2f} <= 3); K marginals exact for j <= 50: {k_ok}"))
 
 
 # ---------------------------------------------------------------------------
 # criterion 11: substitutions
 
 def check_substitutions(p: dict, seed: int) -> CheckResult:
-    horizon = p["c11_horizon"]
-    cfg = engine.EngineConfig(level_cap=100, t_start=0.0, t_end=horizon,
-                              burn_in=30.0, seed=child_seed(seed, "c11"))
-    stream = engine.generate_event_stream(cfg)
-    pp = engine.mrca_point_process(stream)
+    pp, work = _point_process(p["c7_horizon"], seed)
     mcfg = mutations.MutationConfig(theta=2.0, seed=child_seed(seed, "c11", "m"))
     events = mutations.simulate_substitutions(
         pp, mcfg, rng_from(mcfg.seed, "subst"))
@@ -462,28 +447,29 @@ def check_substitutions(p: dict, seed: int) -> CheckResult:
         weights=[e.count for e in events])
     z_disp = (disp - 1.0) / math.sqrt(2.0 / n_win)
     ok = z_rate <= 3.0 and z_disp > 4.0
-    return CheckResult(
-        name="substitutions", criterion=11, passed=ok,
-        detail=(f"{pp.establishment.size} MRCA points, {len(events)} "
-                f"substitution events: mass rate {rate:.4f} vs 1 "
-                f"(|z|={z_rate:.2f} <= 3); dispersion {disp:.3f} "
-                f"(z={z_disp:.1f} > 4)"),
-        work=stream.counters())
+    return CheckResult(passed=ok, detail=(
+        f"{pp.establishment.size} MRCA points, {len(events)} "
+        f"substitution events: mass rate {rate:.4f} vs 1 "
+        f"(|z|={z_rate:.2f} <= 3); dispersion {disp:.3f} "
+        f"(z={z_disp:.1f} > 4)"),
+        work=dict(work))
 
 
 CHECKS = [
     check_exact_constants,
-    check_dual_methods,
+    check_dual_method_identities,
     check_particle_equilibrium,
-    check_poisson_exits,
-    check_z_by_simulation,
+    check_poisson_exit_process,
+    check_z_law_by_simulation,
     check_lookdown_observables,
-    check_establishment_times,
+    check_exponential_establishments,
     check_mixture_identity,
     check_structural_equalities,
     check_tc_and_k_chain,
     check_substitutions,
 ]
+
+_SHARED_RUNS = (_equilibrium_run, _point_process)
 
 
 def run_suite(profile: str = "full", seed: int = DEFAULT_SEED,
@@ -496,20 +482,32 @@ def run_suite(profile: str = "full", seed: int = DEFAULT_SEED,
         raise ConfigurationError(f"criteria {only} not in 1..{len(CHECKS)}")
     params = PROFILES[profile]
     results = []
-    for idx, fn in enumerate(CHECKS, start=1):
-        if only and idx not in only:
-            continue
-        t0 = time.time()
-        try:
-            res = fn(params, seed)
-        except Exception as exc:  # one broken check must not hide the rest
-            res = CheckResult(
-                name=fn.__name__.removeprefix("check_").replace("_", "-"),
-                criterion=idx, passed=False,
-                detail=f"raised {type(exc).__name__}: {exc}",
-                reports=[{"traceback": traceback.format_exc()}])
-        res.seconds = time.time() - t0
-        results.append(res)
-        if echo is not None:
-            echo(res.line())
+    # the shared runs live for this call only: no later call reads them
+    for shared in _SHARED_RUNS:
+        shared.cache_clear()
+    try:
+        for idx, fn in enumerate(CHECKS, start=1):
+            if only and idx not in only:
+                continue
+            t0 = time.time()
+            # warnings the checks raise, such as a StationarityWarning, are
+            # counted in the report, not silenced
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    res = fn(params, seed)
+                except Exception as exc:  # a broken check hides no other
+                    res = CheckResult(
+                        False, f"raised {type(exc).__name__}: {exc}",
+                        reports=[{"traceback": traceback.format_exc()}])
+            res.seconds = time.time() - t0
+            res.name = fn.__name__.removeprefix("check_").replace("_", "-")
+            res.criterion = idx
+            res.warnings = warning_summary(caught)
+            results.append(res)
+            if echo is not None:
+                echo(res.line())
+    finally:
+        for shared in _SHARED_RUNS:
+            shared.cache_clear()
     return SuiteResult(profile=profile, seed=seed, results=results)

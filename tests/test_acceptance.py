@@ -1,6 +1,6 @@
 """Acceptance criteria at full stated sizes, one test per criterion.
 
-Runs the whole suite once per session (several minutes) and prints one
+Runs the whole suite once per session (about 35 s) and prints one
 pass/fail line per criterion.  Tolerances and sample sizes live in
 lookdown.verify and are pinned to the stated requirements.
 """

@@ -102,8 +102,8 @@ class TestCoalescentCurve:
         st = _stream(6, 8.0, burn_in=0.0, seed=5)
         t, s, d = window_events(st)
         oracle = GraphOracle(6, 0.0, zip(t, s, d))
-        cur = engine.coalescent_curve(st, 7.0, s_min=1.0)
-        for ss in np.linspace(1.0, 7.0, 23):
+        cur = engine.coalescent_curve(st, 7.0)
+        for ss in np.linspace(0.0, 7.0, 29):
             expect = oracle.block_count(7.0, float(ss))
             assert oracle.max_ancestor_level(7.0, float(ss)) == expect
             assert curve_value(cur, float(ss)) == expect
@@ -120,9 +120,10 @@ class TestCoalescentCurve:
             assert d[idx] <= value
 
     def test_truncated_flag(self):
-        st = _stream(30, 10.0, seed=7)
-        cur = engine.coalescent_curve(st, 9.0, s_min=8.9)
-        assert cur.truncated
+        # 0.1 units of history cannot take 30 blocks down to one
+        st = _stream(30, 10.0, burn_in=0.0, seed=7)
+        cur = engine.coalescent_curve(st, 0.1)
+        assert cur.truncated and cur.lowest_value > 1
         with pytest.raises(InsufficientWindowError):
             _ = cur.mrca_time
 

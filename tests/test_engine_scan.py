@@ -391,13 +391,13 @@ class TestQueriesEndOnTheLastDrop:
         assert _drops(stream, 10.0) == (7.0, 3.0, 3.0)
         assert _drops(stream, 5.0) == (3.0, 3.0, 1.0)
 
-    def test_coalescent_curve_with_floor_ignores_the_memo(self):
+    def test_coalescent_curve_ignores_later_queries(self):
         cfg = engine.EngineConfig(level_cap=50, t_start=0.0, t_end=10.0,
                                   burn_in=15.0, seed=7)
         stream = engine.generate_event_stream(cfg)
-        before = engine.coalescent_curve(stream, 6.0, s_min=5.0)
+        before = engine.coalescent_curve(stream, 6.0)
         engine.observables_at(stream, 6.5)
-        after = engine.coalescent_curve(stream, 6.0, s_min=5.0)
+        after = engine.coalescent_curve(stream, 6.0)
         assert np.array_equal(before.knot_times, after.knot_times)
         assert (before.lowest_value, before.truncated) == \
             (after.lowest_value, after.truncated)

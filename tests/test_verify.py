@@ -1,11 +1,20 @@
+import dataclasses
 import json
 import warnings
 
 import pytest
 
-from lookdown import verify, zlaw
+from lookdown import engine, particles, verify, zlaw
 from lookdown.engine import genealogy
-from lookdown.errors import ConfigurationError
+from lookdown.errors import ConfigurationError, StationarityWarning
+
+# the check names of verify_report.json, criteria 1 to 11
+REPORT_NAMES = [
+    "exact-constants", "dual-method-identities", "particle-equilibrium",
+    "poisson-exit-process", "z-law-by-simulation", "lookdown-observables",
+    "exponential-establishments", "mixture-identity", "structural-equalities",
+    "tc-and-k-chain", "substitutions",
+]
 
 
 def test_fast_checks_pass_and_serialize():
@@ -79,14 +88,86 @@ def test_raising_check_fails_alone(monkeypatch):
     json.loads(suite.to_json())
 
 
+def test_raising_checks_keep_their_names(monkeypatch):
+    # a check that raises is named and numbered as one that returns
+    def raising(fn):
+        def check(params, seed):
+            raise RuntimeError("boom")
+        check.__name__ = fn.__name__
+        return check
+
+    monkeypatch.setattr(verify, "CHECKS", list(map(raising, verify.CHECKS)))
+    suite = verify.run_suite("quick")
+    assert [r.name for r in suite.results] == REPORT_NAMES
+    assert [r.criterion for r in suite.results] == list(range(1, 12))
+    assert not any(r.passed for r in suite.results)
+
+
+def test_a_check_that_warns_then_raises_keeps_its_warning(monkeypatch):
+    def broken(params, seed):
+        warnings.warn("too little history", StationarityWarning)
+        raise RuntimeError("boom")
+
+    checks = list(verify.CHECKS)
+    checks[0] = broken
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        suite = verify.run_suite("quick", only=[1])
+    assert not escaped
+    (check,) = json.loads(suite.to_json())["checks"]
+    assert not check["pass"]
+    assert check["detail"] == "raised RuntimeError: boom"
+    assert check["warnings"]["StationarityWarning"] == {
+        "count": 1, "first": "too little history"}
+
+
+def _counted(fn, calls):
+    def wrapper(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_each_shared_run_is_made_once(monkeypatch):
+    # criteria 4 and 5 read criterion 3's particle run, and criterion 11
+    # reads criterion 7's point process
+    calls = []
+    monkeypatch.setattr(verify.particles, "simulate",
+                        _counted(particles.simulate, calls))
+    monkeypatch.setattr(verify.engine, "mrca_point_process",
+                        _counted(engine.mrca_point_process, calls))
+    suite = verify.run_suite("quick", only=[3, 4, 5, 7, 11])
+    assert suite.all_passed
+    assert sorted(calls) == ["mrca_point_process", "simulate"]
+
+
+def test_poisson_exits_see_doubled_gaps(monkeypatch):
+    # an exit process at half the rate fails criterion 4, though the
+    # previous call ran the same criterion on the true run
+    assert verify.run_suite("quick", only=[4]).all_passed
+    real = particles.simulate
+
+    def half_rate(*args, **kwargs):
+        run = real(*args, **kwargs)
+        return dataclasses.replace(run, exits=run.exits * 2.0)
+
+    monkeypatch.setattr(verify.particles, "simulate", half_rate)
+    (check,) = verify.run_suite("quick", only=[4]).results
+    assert not check.passed
+    assert check.detail.startswith("n=")   # failed on its statistics
+
+
 PARTICLE_WORK = {"transitions", "exits", "flights", "segments"}
 ENGINE_WORK = {"slices_generated", "events_generated", "cache_hits",
                "cache_evictions"}
 
 
 def test_particle_criteria_report_their_work():
-    # the runs behind a particle criterion's seconds are in its report
-    suite = verify.run_suite("quick", only=[1, 4, 9])
+    # the runs a particle criterion read are in its report; criteria 4 and
+    # 5 read criterion 3's run, alone or after it
+    (alone,) = verify.run_suite("quick", only=[4]).results
+    suite = verify.run_suite("quick", only=[1, 3, 4, 5, 9])
     payload = json.loads(suite.to_json())["checks"]
     assert payload[0]["work"] == {}
     for c in payload[1:]:
@@ -96,7 +177,9 @@ def test_particle_criteria_report_their_work():
             ENGINE_WORK if c["criterion"] == 9 else set())
         assert work["transitions"] > work["segments"] > work["exits"] > 100
     assert payload[1]["work"]["flights"] >= payload[1]["work"]["exits"]
-    assert payload[2]["work"]["flights"] == 0   # a recorded trajectory
+    assert payload[1]["work"] == payload[2]["work"] == payload[3]["work"] \
+        == alone.work
+    assert payload[4]["work"]["flights"] == 0   # a recorded trajectory
 
 
 def test_engine_criteria_report_their_work():
@@ -112,6 +195,8 @@ def test_engine_criteria_report_their_work():
     # criterion 6 builds one stream per query, 500 of them
     assert payload[0]["work"]["slices_generated"] >= 500
     assert payload[2]["work"].keys() == ENGINE_WORK | PARTICLE_WORK
+    # criterion 11 reads criterion 7's point process
+    assert payload[3]["work"] == payload[1]["work"]
 
 
 def test_warnings_are_counted_not_silenced(monkeypatch):
