@@ -125,14 +125,11 @@ class MrcaPointProcess:
         e, b = self.establishment, self.living
         if e.size != b.size:
             raise LookdownError("E and B columns differ in length")
-        if e.size:
-            if np.any(np.diff(e) <= 0) or np.any(np.diff(b) <= 0):
-                raise LookdownError("E and B must be strictly increasing")
-            if np.any(b >= e):
-                raise LookdownError("each B must precede its E")
-
-    def gaps(self) -> np.ndarray:
-        return np.diff(self.establishment)
+        # written so that a NaN fails them
+        if not (np.all(np.diff(e) > 0) and np.all(np.diff(b) > 0)):
+            raise LookdownError("E and B must be strictly increasing")
+        if not np.all(b < e):
+            raise LookdownError("each B must precede its E")
 
     def z_at(self, t: float) -> int:
         """#{(E, B): E > t, B < t}; E <= t forces B < t, so the count is a

@@ -50,19 +50,11 @@ def simulate_substitutions(points: MrcaPointProcess, config: MutationConfig,
     The first point has no predecessor gap inside the window and is dropped
     (the same discard edge-correction the point process itself uses).
     """
-    e = np.asarray(points.establishment, dtype=np.float64)
-    b = np.asarray(points.living, dtype=np.float64)
-    if e.size < 2:
+    if points.establishment.size < 2:
         raise ValidationError("need at least two MRCA points")
-    if np.any(np.diff(e) <= 0) or np.any(np.diff(b) <= 0) or np.any(b >= e):
-        raise ValidationError("points must be sorted with B < E pairwise")
-    gaps = np.diff(b)
-    counts = rng.poisson(0.5 * config.theta * gaps)
-    out = []
-    for time, s in zip(e[1:], counts):
-        if s > 0:
-            out.append(SubstitutionEvent(float(time), int(s)))
-    return out
+    counts = rng.poisson(0.5 * config.theta * np.diff(points.living))
+    return [SubstitutionEvent(float(time), int(s))
+            for time, s in zip(points.establishment[1:], counts) if s > 0]
 
 
 def substitution_mass_rate(events: Sequence[SubstitutionEvent],

@@ -52,6 +52,7 @@ generator of their own, so reading them moves no exit.
 from __future__ import annotations
 
 import bisect
+import collections
 import csv
 import itertools
 import math
@@ -132,6 +133,8 @@ class ParticleRunResult:
 
     exits               exit times in [0, horizon]; the CLI writes them,
                         and verify tests their gaps against Exp(1)
+    living              living[m], the arrival time B of exit m's particle
+                        (NaN for one of ``init``); verify pairs it with E
     exit_configs        exit_configs[m] is the configuration just after exit
                         m (jump-back applied), the state in which a new MRCA
                         is established; verify tests it against pi_Lambda
@@ -142,16 +145,19 @@ class ParticleRunResult:
                         the pushes of leaders in flight); the CLI prints it
     n_flights           leaders that flew from below the cap
     n_segments          loop segments
+    n_alive             particles alive at the horizon, in flight included
     exit_time_bias      the analytic per-exit truncation bias 2/cap (mean
                         residual climb time above the cap), for the manifest
     """
 
     exits: np.ndarray
+    living: np.ndarray
     exit_configs: list[tuple[int, ...]]
     sample_configs: list[tuple[int, ...]] | None
     n_transitions: int
     n_flights: int
     n_segments: int
+    n_alive: int
     exit_time_bias: float
 
     def counters(self) -> dict[str, int]:
@@ -264,7 +270,11 @@ def simulate(config: ParticleSimConfig, *,
     t = -float(config.burn_in)
     levels: list[int] = list(config.init.levels)
     flights: list[tuple[float, int, float]] = []   # (start, level, exit epoch)
+    # arrival times of the live particles, oldest first: particles exit in
+    # arrival order, since the leader is the oldest and flights land in turn
+    arrivals = collections.deque([math.nan] * len(levels))
     exits: list[float] = []
+    living: list[float] = []
     exit_configs: list[tuple[int, ...]] = []
     next_sample = sample_spacing if sample_spacing is not None else math.inf
     sample_configs: list[tuple[int, ...]] = []
@@ -279,8 +289,10 @@ def simulate(config: ParticleSimConfig, *,
             n_flights += l < cap
         while flights and (flights[0][2] <= t or len(flights) > cap - top):
             flights.pop(0)
+            b = arrivals.popleft()
             if t >= 0.0:
                 exits.append(t)
+                living.append(b)
                 exit_configs.append(
                     _in_flight(flight_rng, half, flights, t,
                                levels[0] if levels else 1, cap)
@@ -348,6 +360,7 @@ def simulate(config: ParticleSimConfig, *,
                 levels[m] += 1
             if k is None:
                 levels.append(2)
+                arrivals.append(t + dt)
         if trajectory is not None:
             rows = itertools.chain(     # streamed: a climb holds 10^4 rows
                 ((t + float(cum[m]), "push", 1, (l1 + m + 1, *rest))
@@ -365,11 +378,13 @@ def simulate(config: ParticleSimConfig, *,
 
     return ParticleRunResult(
         exits=np.asarray(exits, dtype=np.float64),
+        living=np.asarray(living, dtype=np.float64),
         exit_configs=exit_configs,
         sample_configs=sample_configs if sample_spacing is not None else None,
         n_transitions=n_transitions,
         n_flights=n_flights,
         n_segments=n_segments,
+        n_alive=len(arrivals),
         exit_time_bias=2.0 / cap)
 
 

@@ -31,7 +31,7 @@ PROFILES = {
     "full": dict(
         c3_draws=100_000, c3_horizon=200_000.0,
         c6_n=5_000, c6_levels=1_000,
-        c7_horizon=22_000.0, c7_min_bin=300, c7_skip_small=False,
+        c7_min_bin=300,
         c8_draws=100_000,
         c9_reps=100,
         c10_draws=100_000,
@@ -39,7 +39,7 @@ PROFILES = {
     "quick": dict(
         c3_draws=20_000, c3_horizon=8_000.0,
         c6_n=500, c6_levels=300,
-        c7_horizon=3_000.0, c7_min_bin=50, c7_skip_small=True,
+        c7_min_bin=50,
         c8_draws=20_000,
         c9_reps=15,
         c10_draws=20_000,
@@ -150,13 +150,17 @@ def _config_cell(levels):
 
 
 @functools.lru_cache(maxsize=1)
-def _equilibrium_run(horizon: float, seed: int) -> particles.ParticleRunResult:
-    """The stationary particle run at cap 10^4 that criteria 3, 4 and 5
-    read; run_suite keeps it for one call."""
+def _equilibrium_run(horizon: float, seed: int) -> tuple[
+        particles.ParticleRunResult, engine.MrcaPointProcess]:
+    """The stationary particle run at cap 10^4 that criteria 3, 4, 5, 7
+    and 11 read, and its (E, B) pairs: each exit and its particle's
+    arrival; run_suite keeps them for one call."""
     cfg = particles.ParticleSimConfig(
         particle_cap=10_000, horizon=horizon,
         seed=child_seed(seed, "c3", "sim"), burn_in=50.0)
-    return particles.simulate(cfg, sample_spacing=SAMPLE_SPACING)
+    run = particles.simulate(cfg, sample_spacing=SAMPLE_SPACING)
+    return run, engine.MrcaPointProcess(run.exits, run.living,
+                                        (0.0, horizon), run.n_alive)
 
 
 def check_particle_equilibrium(p: dict, seed: int) -> CheckResult:
@@ -167,7 +171,7 @@ def check_particle_equilibrium(p: dict, seed: int) -> CheckResult:
     rep1 = stats.chi_square_gof(stats.empirical_pmf(draws), exact,
                                 alpha=ALPHA, name="sample_stationary_vs_pi")
 
-    run = _equilibrium_run(p["c3_horizon"], seed)
+    run, _ = _equilibrium_run(p["c3_horizon"], seed)
     occ = [_config_cell(c) for c in run.sample_configs]
     rep2 = stats.chi_square_gof(stats.empirical_pmf(occ), exact,
                                 alpha=ALPHA, name="occupation_vs_pi")
@@ -194,7 +198,7 @@ def check_particle_equilibrium(p: dict, seed: int) -> CheckResult:
 # criterion 4: Poisson exit process
 
 def check_poisson_exit_process(p: dict, seed: int) -> CheckResult:
-    run = _equilibrium_run(p["c3_horizon"], seed)
+    run, _ = _equilibrium_run(p["c3_horizon"], seed)
     summary = particles.exit_gap_statistics(run.exits)
     n = summary.n_gaps
     lag_band = 4.0 / math.sqrt(n)
@@ -213,7 +217,7 @@ def check_poisson_exit_process(p: dict, seed: int) -> CheckResult:
 # criterion 5: Z law by simulation
 
 def check_z_law_by_simulation(p: dict, seed: int) -> CheckResult:
-    run = _equilibrium_run(p["c3_horizon"], seed)
+    run, _ = _equilibrium_run(p["c3_horizon"], seed)
     zs = [len(c) for c in run.sample_configs]
     rep = stats.chi_square_gof(stats.empirical_pmf(zs), zlaw.pmf_Z_table(6),
                                alpha=ALPHA, name="Z_vs_pmf_Z")
@@ -275,49 +279,44 @@ def check_lookdown_observables(p: dict, seed: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 # criterion 7: exponential establishment times
 
-@functools.lru_cache(maxsize=1)
-def _point_process(horizon: float, seed: int):
-    """The MRCA point process at N=100 that criteria 7 and 11 read, and its
-    stream's ``counters()``; run_suite keeps them for one call.  The stream
-    is let go, since its slice cache can hold millions of events."""
-    cfg = engine.EngineConfig(level_cap=100, t_start=0.0, t_end=horizon,
-                              burn_in=30.0, seed=child_seed(seed, "c7"))
-    stream = engine.generate_event_stream(cfg)
-    return engine.mrca_point_process(stream), stream.counters()
-
-
 def check_exponential_establishments(p: dict, seed: int) -> CheckResult:
-    horizon = p["c7_horizon"]
-    pp, work = _point_process(horizon, seed)
-    ks_gaps = stats.ks_test_exp1(pp.gaps(), alpha=ALPHA, name="E_gaps")
+    horizon = p["c3_horizon"]
+    run, pp = _equilibrium_run(horizon, seed)
+    # the paper's second Poisson claim: the B gaps are Exp(1) too
+    ks_gaps = stats.ks_test_exp1(np.diff(pp.living), alpha=ALPHA,
+                                 name="B_gaps")
+    # E - B is the climb S_{2->cap}, of mean 1 - 2/cap; successive pairs
+    # share the particles below them, so every 10th pair is kept
+    band = stats.moment_band((pp.establishment - pp.living)[::10],
+                             target_mean=1.0 - run.exit_time_bias,
+                             name="E-B_mean")
 
     times = np.arange(30.0, horizon - 1.0, 2.0)
     a, _, e_next = pp.path_at(times)
     valid = ~np.isnan(a) & ~np.isnan(e_next)
     depth = times[valid] - a[valid]
     residual = e_next[valid] - times[valid]
-    reports = [ks_gaps.to_dict()]
+    reports = [ks_gaps.to_dict(), band.to_dict()]
     bin_ok, bin_detail = True, []
     for lo in np.arange(0.5, 4.0, 0.5):
         sel = (depth > lo) & (depth <= lo + 0.5)
         cnt = int(sel.sum())
         if cnt < p["c7_min_bin"]:
-            if not p["c7_skip_small"]:
-                bin_ok = False
-                bin_detail.append(f"n={cnt}<{p['c7_min_bin']}")
-            else:
-                bin_detail.append("skipped")
+            bin_ok = False
+            bin_detail.append(f"n={cnt}<{p['c7_min_bin']}")
             continue
         rep = stats.ks_test_exp1(residual[sel], alpha=ALPHA,
                                  name=f"E-t_given_A0_bin_{lo}")
         reports.append(rep.to_dict())
         bin_ok &= rep.passed
         bin_detail.append(f"{rep.p_value:.3f}")
-    ok = ks_gaps.passed and bin_ok
+    ok = ks_gaps.passed and band.passed and bin_ok
     return CheckResult(passed=ok, detail=(
-        f"{pp.establishment.size} exits: gap KS p={ks_gaps.p_value:.4f}; "
+        f"{pp.establishment.size} exits: B-gap KS p={ks_gaps.p_value:.4f}; "
+        f"E-B (n={band.n}) mean {band.extra['mean']:.4f} "
+        f"z={band.statistic:.2f} (<4); "
         f"per-bin E-t KS p: [{', '.join(bin_detail)}] (all > {ALPHA})"),
-        reports=reports, work=dict(work))
+        reports=reports, work=run.counters())
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +435,7 @@ def check_tc_and_k_chain(p: dict, seed: int) -> CheckResult:
 # criterion 11: substitutions
 
 def check_substitutions(p: dict, seed: int) -> CheckResult:
-    pp, work = _point_process(p["c7_horizon"], seed)
+    run, pp = _equilibrium_run(p["c3_horizon"], seed)
     mcfg = mutations.MutationConfig(theta=2.0, seed=child_seed(seed, "c11", "m"))
     events = mutations.simulate_substitutions(
         pp, mcfg, rng_from(mcfg.seed, "subst"))
@@ -452,7 +451,7 @@ def check_substitutions(p: dict, seed: int) -> CheckResult:
         f"substitution events: mass rate {rate:.4f} vs 1 "
         f"(|z|={z_rate:.2f} <= 3); dispersion {disp:.3f} "
         f"(z={z_disp:.1f} > 4)"),
-        work=dict(work))
+        work=run.counters())
 
 
 CHECKS = [
@@ -469,8 +468,6 @@ CHECKS = [
     check_substitutions,
 ]
 
-_SHARED_RUNS = (_equilibrium_run, _point_process)
-
 
 def run_suite(profile: str = "full", seed: int = DEFAULT_SEED,
               only: list[int] | None = None,
@@ -482,9 +479,6 @@ def run_suite(profile: str = "full", seed: int = DEFAULT_SEED,
         raise ConfigurationError(f"criteria {only} not in 1..{len(CHECKS)}")
     params = PROFILES[profile]
     results = []
-    # the shared runs live for this call only: no later call reads them
-    for shared in _SHARED_RUNS:
-        shared.cache_clear()
     try:
         for idx, fn in enumerate(CHECKS, start=1):
             if only and idx not in only:
@@ -507,7 +501,6 @@ def run_suite(profile: str = "full", seed: int = DEFAULT_SEED,
             results.append(res)
             if echo is not None:
                 echo(res.line())
-    finally:
-        for shared in _SHARED_RUNS:
-            shared.cache_clear()
+    finally:   # the shared run lives for this call only
+        _equilibrium_run.cache_clear()
     return SuiteResult(profile=profile, seed=seed, results=results)

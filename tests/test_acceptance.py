@@ -1,6 +1,6 @@
 """Acceptance criteria at full stated sizes, one test per criterion.
 
-Runs the whole suite once per session (about 35 s) and prints one
+Runs the whole suite once per session (about 20 s) and prints one
 pass/fail line per criterion.  Tolerances and sample sizes live in
 lookdown.verify and are pinned to the stated requirements.
 """
@@ -18,11 +18,13 @@ CRITERIA = {
     4: "Poisson exit process: KS, lag-1, dispersion",
     5: "Z law by simulation: chi2 vs pmf_Z and mean band",
     6: "look-down observables at N=1000: L and (L=2, I) laws",
-    7: "exponential establishment times, overall and within A0 bins",
+    7: "(E, B) pairs of criterion 3's run: B gaps, E - B mean, E - t "
+       "within A0 bins",
     8: "mixture of S_l over pmf_L is standard exponential (KS)",
     9: "structural equalities: curves, Z definitions, jump-back",
     10: "T_c Monte Carlo mean and exact K-chain marginals to j=50",
-    11: "substitution mass rate theta/2 and clustering at 4 sigma",
+    11: "substitutions on criterion 3's (E, B) pairs: mass rate theta/2 "
+        "and clustering at 4 sigma",
 }
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from lookdown import engine, laws, stats
-from lookdown.errors import (InsufficientWindowError, StationarityWarning,
-                             WindowRangeError)
+from lookdown.errors import (InsufficientWindowError, LookdownError,
+                             StationarityWarning, WindowRangeError)
 from lookdown.seeding import child_seed
 from lookdown.tables import INF
 
@@ -235,7 +235,7 @@ class TestMrcaPointProcess:
 
     def test_gap_statistics(self):
         _, pp = self._pp(seed=16, t_end=2500.0, cap=60)
-        rep = stats.ks_test_exp1(pp.gaps())
+        rep = stats.ks_test_exp1(np.diff(pp.establishment))
         assert rep.passed
         # the B restriction is the rate-1 Poisson P12: mean gap about 1
         b_gaps = np.diff(pp.living)
@@ -248,6 +248,13 @@ class TestMrcaPointProcess:
             z_curves = sum(1 for c in curves if c.birth < q and
                            (c.exit_time is None or c.exit_time > q))
             assert pp.z_at(float(q)) == z_curves
+
+    @pytest.mark.parametrize("e, b", [([1.0], [math.nan]),
+                                      ([1.0, 2.0], [math.nan, 1.5]),
+                                      ([1.0, 2.0], [0.5, math.nan])])
+    def test_a_nan_living_time_is_rejected(self, e, b):
+        with pytest.raises(LookdownError):
+            engine.MrcaPointProcess(np.array(e), np.array(b), (0.0, 3.0), 0)
 
     def test_stationarity_warning_near_stream_start(self):
         st = _stream(20, 30.0, burn_in=2.0, seed=18)

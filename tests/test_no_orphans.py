@@ -54,6 +54,10 @@ SHARED = {
     "levels": "ParticleConfig.levels is the state simulate starts from; "
               "TransitionEvent.levels, the state after a transition, is "
               "written to trajectory.jsonl and replayed by verify",
+    "living": "MrcaPointProcess.living holds the B of each pair, which "
+              "mutations marks; ParticleRunResult.living, the arrival "
+              "time of each exit's particle, is how verify builds the "
+              "pairs of criteria 7 and 11",
     "mrca_time": "CoalescentCurve.mrca_time is read by verify's duality "
                  "check; MrcaObservables.mrca_time is the A column of "
                  "simulate-lookdown",

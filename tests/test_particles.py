@@ -3,7 +3,7 @@ import hashlib
 import itertools
 import math
 import warnings
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -142,6 +142,33 @@ class TestSimulate:
         assert len(run.exit_configs) == run.exits.size > 50
         assert run.exit_configs == [ev.levels for ev in exit_rows]
         assert [ev.time for ev in exit_rows] == run.exits.tolist()
+
+    def test_living_is_each_exits_arrival(self):
+        # a FIFO replay of the rows: a row that adds a particle is an
+        # arrival, even one that carries the leader over the cap
+        cfg = particles.ParticleSimConfig(particle_cap=60, horizon=300.0,
+                                          seed=3)
+        run, rows = _recorded(cfg)
+        queue, living, alive = deque(), [], 0
+        for ev in rows:
+            exited = ev.kind == "exit"
+            if len(ev.levels) + exited > alive:
+                queue.append(ev.time)
+            if exited:
+                living.append(queue.popleft())
+            alive = len(ev.levels)
+        assert run.living.tolist() == living
+        assert run.n_alive == len(queue) == alive
+        assert np.all(run.living < run.exits)
+
+    def test_living_of_an_initial_particle_is_nan(self):
+        init = particles.ParticleConfig((40, 9, 2))
+        cfg = particles.ParticleSimConfig(particle_cap=100, horizon=200.0,
+                                          seed=8, init=init)
+        run = particles.simulate(cfg)
+        assert run.living.size == run.exits.size > 100
+        nan = np.isnan(run.living)
+        assert nan[:3].all() and not nan[3:].any()
 
     @pytest.mark.parametrize("cap", [12, 60, 200])
     def test_final_state_and_samples_follow_the_rows(self, cap):

@@ -130,8 +130,8 @@ def _counted(fn, calls):
 
 
 def test_each_shared_run_is_made_once(monkeypatch):
-    # criteria 4 and 5 read criterion 3's particle run, and criterion 11
-    # reads criterion 7's point process
+    # criteria 4, 5, 7 and 11 read criterion 3's particle run, and no
+    # engine sweep runs for them
     calls = []
     monkeypatch.setattr(verify.particles, "simulate",
                         _counted(particles.simulate, calls))
@@ -139,7 +139,7 @@ def test_each_shared_run_is_made_once(monkeypatch):
                         _counted(engine.mrca_point_process, calls))
     suite = verify.run_suite("quick", only=[3, 4, 5, 7, 11])
     assert suite.all_passed
-    assert sorted(calls) == ["mrca_point_process", "simulate"]
+    assert calls == ["simulate"]
 
 
 def test_poisson_exits_see_doubled_gaps(monkeypatch):
@@ -156,6 +156,39 @@ def test_poisson_exits_see_doubled_gaps(monkeypatch):
     (check,) = verify.run_suite("quick", only=[4]).results
     assert not check.passed
     assert check.detail.startswith("n=")   # failed on its statistics
+
+
+def _mispaired(monkeypatch, exits, living):
+    """Make every particle run pair exits(E) with living(B)."""
+    real = particles.simulate
+
+    def mispaired(*args, **kwargs):
+        run = real(*args, **kwargs)
+        return dataclasses.replace(run, exits=exits(run.exits),
+                                   living=living(run.living))
+
+    monkeypatch.setattr(verify.particles, "simulate", mispaired)
+
+
+def test_establishments_see_each_exit_paired_with_an_earlier_b(monkeypatch):
+    # E_{m+1} with B_m: E - t given the depth stays Exp(1), and the B gaps
+    # are the true ones, so only the E - B band sees it
+    _mispaired(monkeypatch, lambda e: e[1:], lambda b: b[:-1])
+    (check,) = verify.run_suite("quick", only=[7]).results
+    assert not check.passed
+    assert check.detail.startswith("7891 exits:")   # on its statistics
+    assert check.reports[1]["name"] == "E-B_mean"
+    assert not check.reports[1]["pass"]
+
+
+def test_establishments_see_each_exit_paired_with_a_later_b(monkeypatch):
+    # E_m with B_{m+1}: where exit m leaves no particle behind, the next
+    # arrival comes after it
+    _mispaired(monkeypatch, lambda e: e[:-1], lambda b: b[1:])
+    (check,) = verify.run_suite("quick", only=[7]).results
+    assert not check.passed
+    assert check.detail == (
+        "raised LookdownError: each B must precede its E")
 
 
 PARTICLE_WORK = {"transitions", "exits", "flights", "segments"}
@@ -184,19 +217,22 @@ def test_particle_criteria_report_their_work():
 
 def test_engine_criteria_report_their_work():
     # the streams behind an engine criterion's seconds are in its report,
-    # summed over the streams it builds
-    suite = verify.run_suite("quick", only=[6, 7, 9, 11])
+    # summed over the streams it builds; criteria 7 and 11 read the (E, B)
+    # pairs of criterion 3's particle run and report its counters
+    suite = verify.run_suite("quick", only=[3, 6, 7, 9, 11])
     assert suite.all_passed
-    payload = json.loads(suite.to_json())["checks"]
-    for c in payload:
+    c3, c6, c7, c9, c11 = json.loads(suite.to_json())["checks"]
+    for c in (c6, c9):
         work = c["work"]
         assert work.keys() >= ENGINE_WORK
         assert work["events_generated"] > work["slices_generated"] > 100
     # criterion 6 builds one stream per query, 500 of them
-    assert payload[0]["work"]["slices_generated"] >= 500
-    assert payload[2]["work"].keys() == ENGINE_WORK | PARTICLE_WORK
-    # criterion 11 reads criterion 7's point process
-    assert payload[3]["work"] == payload[1]["work"]
+    assert c6["work"]["slices_generated"] >= 500
+    assert c9["work"].keys() == ENGINE_WORK | PARTICLE_WORK
+    work = c3["work"]
+    assert work.keys() == PARTICLE_WORK
+    assert work["transitions"] > work["segments"] > work["exits"] > 100
+    assert c7["work"] == c11["work"] == work
 
 
 def test_warnings_are_counted_not_silenced(monkeypatch):
