@@ -1,4 +1,4 @@
-"""Command-line front door.
+"""Command-line front door, and the one writer of files in the package.
 
 One binary, four subcommands:
 
@@ -7,26 +7,41 @@ One binary, four subcommands:
   tables              exact law tables (L, LI, K, Z, pi, Tc)
   verify              the acceptance suite (quick or full profile)
 
+Library calls return arrays, tables and results; every file format lives
+here, behind one CSV writer and one JSON writer.  The JSON-lines rows of
+events and trajectories are streamed as the text json.dumps writes.
+
+``main`` runs every command the same way.  The command validates its
+configuration, runs, writes its data files and returns its configuration,
+outputs, metrics and exit code; ``main`` counts the warnings it raised,
+adds the peak RSS to its metrics, writes manifest.json and prints the
+written paths.  The out directory is made with the first file written, so
+a usage error leaves nothing behind.
+
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error,
 4 internal error (a fault in the package: an engine invariant failed, or
 a table the package built is invalid).
 Every run writes a manifest.json echoing the full configuration, the seed,
-versions, wall clock and output paths; re-running the recorded argv
-reproduces the output files byte for byte.
+versions, wall clock, output paths, metrics and warnings; re-running the
+recorded argv reproduces the data files byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
+import os
 import platform
 import resource
 import secrets
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, TextIO
 
 import numpy as np
 import scipy
@@ -51,38 +66,30 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
-def _out_dir(args) -> Path:
-    import os
-    base = args.out or os.environ.get(ENV_OUT) or "."
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
+def _create(path: Path) -> TextIO:
+    """Open path for writing text, making its directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline="")
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable) -> Path:
+    with _create(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
 
 
-def _write_manifest(out: Path, command: str, args: argparse.Namespace,
-                    config: dict, outputs: list[Path], started: float,
-                    **extra) -> Path:
-    manifest = {
-        "command": command,
-        "argv": sys.argv[1:],
-        "config": config,
-        "seed": args.seed,
-        "versions": {
-            "lookdown": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
-        "wall_clock_seconds": round(time.time() - started, 3),
-        "outputs": [str(p) for p in outputs],
-        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        **extra,
-    }
-    path = out / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
+def _write_json(path: Path, payload) -> Path:
+    with _create(path) as fh:
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
     return path
+
+
+def _float(x: float) -> str:
+    """17 significant digits: the float round-trips."""
+    return format(x, ".17g")
 
 
 def _peak_rss_mb() -> float:
@@ -94,78 +101,71 @@ def _peak_rss_mb() -> float:
 # ---------------------------------------------------------------------------
 # simulate-lookdown
 
-def cmd_simulate_lookdown(args) -> int:
-    started = time.time()
+def _write_events(path: Path, stream: engine.EventStream) -> Path:
+    """One row per event in [t_start, t_end] (burn-in left out),
+    {"t": float, "i": src, "j": dst}, time-sorted, as json.dumps writes
+    it: the times are finite, and repr is json's float format."""
+    cfg = stream.config
+    with _create(path) as fh:
+        for times, srcs, dsts in stream.iter_chunks(cfg.t_start, cfg.t_end):
+            fh.write("".join(
+                f'{{"t": {t!r}, "i": {i}, "j": {j}}}\n'
+                for t, i, j in zip(times.tolist(), srcs.tolist(),
+                                   dsts.tolist())))
+    return path
+
+
+def cmd_simulate_lookdown(args, out: Path):
     if args.sample_spacing <= 0:
         raise ConfigurationError("--sample-spacing must be positive")
     _resolve_seed(args)
-    out = _out_dir(args)
-    sim_started = time.perf_counter()
     cfg = engine.EngineConfig(level_cap=args.levels, t_start=args.t_start,
                               t_end=args.t_end, burn_in=args.burn_in,
                               seed=args.seed)
+    sim_started = time.perf_counter()
     stream = engine.generate_event_stream(cfg)
-    outputs: list[Path] = []
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        points = engine.mrca_point_process(stream)
-        grid = np.arange(cfg.t_start, cfg.t_end, args.sample_spacing)
-        obs = [engine.observables_at(stream, float(t)) for t in grid]
+    points = engine.mrca_point_process(stream)
+    grid = np.arange(cfg.t_start, cfg.t_end, args.sample_spacing)
+    obs = [engine.observables_at(stream, float(t)) for t in grid]
     sim_seconds = time.perf_counter() - sim_started
-    points_path = out / "mrca_points.csv"
-    engine.export_points_csv(points, points_path)
-    outputs.append(points_path)
+    outputs = [_write_csv(out / "mrca_points.csv", ["E", "B"], (
+        [_float(e), _float(b)] for e, b in zip(points.establishment.tolist(),
+                                               points.living.tolist())))]
 
-    obs_rows = [{"t": o.time, "A": o.mrca_time, "L": o.fixation_level,
-                 "I": "inf" if o.curve_count == 0 else int(o.coalescent_level),
-                 "Z": o.curve_count} for o in obs]
+    rows = [(o.time, o.mrca_time, o.fixation_level,
+             "inf" if o.curve_count == 0 else int(o.coalescent_level),
+             o.curve_count) for o in obs]
     if args.format == "jsonl":
-        obs_path = out / "observables.jsonl"
-        with open(obs_path, "w") as fh:
-            for row in obs_rows:
-                fh.write(json.dumps(row) + "\n")
+        outputs.append(out / "observables.jsonl")
+        with _create(outputs[-1]) as fh:
+            fh.writelines(json.dumps(dict(zip("tALIZ", row))) + "\n"
+                          for row in rows)
     else:
-        obs_path = out / "observables.csv"
-        with open(obs_path, "w") as fh:
-            fh.write("t,A,L,I,Z\n")
-            for row in obs_rows:
-                fh.write(f"{row['t']:.17g},{row['A']:.17g},{row['L']},"
-                         f"{row['I']},{row['Z']}\n")
-    outputs.append(obs_path)
-
+        outputs.append(_write_csv(out / "observables.csv", list("tALIZ"), (
+            [_float(t), _float(a), *rest] for t, a, *rest in rows)))
     if not args.no_events:
-        events_path = out / "events.jsonl"
-        engine.export_events_jsonl(stream, events_path)
-        outputs.append(events_path)
+        outputs.append(_write_events(out / "events.jsonl", stream))
 
-    outputs.append(_write_manifest(out, "simulate-lookdown", args, {
-        "level_cap": cfg.level_cap, "t_start": cfg.t_start,
-        "t_end": cfg.t_end, "burn_in": cfg.burn_in,
-        "sample_spacing": args.sample_spacing, "format": args.format,
-    }, outputs, started, metrics={
-        **stream.counters(), "simulate_seconds": round(sim_seconds, 3),
-        "peak_rss_mb": _peak_rss_mb()}, warnings=warning_summary(caught)))
-    depth = [row["t"] - row["A"] for row in obs_rows]
     print(f"simulate-lookdown: levels={cfg.level_cap} window="
           f"[{cfg.t_start}, {cfg.t_end}] seed={args.seed}")
     print(f"  MRCA points in window: {points.establishment.size} "
           f"(open curves at window end: {points.n_open})")
-    if depth:
-        print(f"  observable samples: {len(depth)}, mean depth t-A = "
-              f"{np.mean(depth):.3f}")
-    for p in outputs:
-        print(f"  wrote {p}")
-    return EXIT_OK
+    if rows:
+        print(f"  observable samples: {len(rows)}, mean depth t-A = "
+              f"{np.mean([t - a for t, a, *_ in rows]):.3f}")
+    metrics = {**stream.counters(), "simulate_seconds": round(sim_seconds, 3)}
+    return {
+        "level_cap": cfg.level_cap, "t_start": cfg.t_start,
+        "t_end": cfg.t_end, "burn_in": cfg.burn_in,
+        "sample_spacing": args.sample_spacing, "format": args.format,
+    }, outputs, metrics, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # simulate-particles
 
-def cmd_simulate_particles(args) -> int:
-    started = time.time()
+def cmd_simulate_particles(args, out: Path):
     _resolve_seed(args)
-    out = _out_dir(args)
     cfg = particles.ParticleSimConfig(
         particle_cap=args.cap, horizon=args.horizon, seed=args.seed,
         burn_in=args.burn_in)
@@ -179,35 +179,23 @@ def cmd_simulate_particles(args) -> int:
     if args.no_trajectory:
         run = particles.simulate(cfg)
     else:
-        traj_path = out / "trajectory.jsonl"
-        with open(traj_path, "w") as fh:
+        outputs.append(out / "trajectory.jsonl")
+        with _create(outputs[-1]) as fh:
             def write(ev: particles.TransitionEvent) -> None:
                 # the text json.dumps writes, without its per-row cost
                 k = "null" if ev.k is None else ev.k
                 fh.write(f'{{"t": {ev.time!r}, "kind": "{ev.kind}", '
                          f'"k": {k}, "levels": {list(ev.levels)}}}\n')
             run = particles.simulate(cfg, trajectory=write)
-        outputs.append(traj_path)
     sim_seconds = time.perf_counter() - sim_started
-    particles.export_exits_csv(run.exits, exits_path)
+    _write_csv(exits_path, ["E"], ([_float(e)] for e in run.exits.tolist()))
 
     summary = None
     if run.exits.size >= 100:
         summary = particles.exit_gap_statistics(run.exits)
-        gaps_path = out / "gap_summary.json"
-        with open(gaps_path, "w") as fh:
-            json.dump(summary.to_dict(), fh, indent=2)
-            fh.write("\n")
-        outputs.append(gaps_path)
+        outputs.append(_write_json(out / "gap_summary.json",
+                                   summary.to_dict()))
 
-    outputs.append(_write_manifest(out, "simulate-particles", args, {
-        "particle_cap": cfg.particle_cap, "horizon": cfg.horizon,
-        "burn_in": cfg.burn_in, "init": args.init,
-        "init_levels": list(cfg.init.levels),
-        "exit_time_bias": run.exit_time_bias,
-    }, outputs, started, metrics={
-        **run.counters(), "simulate_seconds": round(sim_seconds, 3),
-        "peak_rss_mb": _peak_rss_mb()}))
     print(f"simulate-particles: cap={cfg.particle_cap} horizon={cfg.horizon} "
           f"seed={args.seed} init={args.init}{list(cfg.init.levels)}")
     print(f"  exits: {run.exits.size}, transitions drawn: "
@@ -218,9 +206,13 @@ def cmd_simulate_particles(args) -> int:
               f"p={summary.ks_report.p_value:.4f}, lag-1 "
               f"{summary.lag1_autocorrelation:+.4f}, dispersion "
               f"{summary.dispersion:.4f}")
-    for p in outputs:
-        print(f"  wrote {p}")
-    return EXIT_OK
+    metrics = {**run.counters(), "simulate_seconds": round(sim_seconds, 3)}
+    return {
+        "particle_cap": cfg.particle_cap, "horizon": cfg.horizon,
+        "burn_in": cfg.burn_in, "init": args.init,
+        "init_levels": list(cfg.init.levels),
+        "exit_time_bias": run.exit_time_bias,
+    }, outputs, metrics, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +245,21 @@ def _build_table(args):
     return table, extra
 
 
-def cmd_tables(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def _render_value(v) -> str:
+    """A support value; a configuration of levels as "(5 3 2)"."""
+    if isinstance(v, tuple):
+        return "(" + " ".join(str(x) for x in v) + ")"
+    return str(v)
+
+
+def _render_weight(w: Fraction | float) -> str:
+    """A weight exactly: "num/den" where rational, else the float's repr."""
+    if isinstance(w, Fraction):
+        return f"{w.numerator}/{w.denominator}"
+    return repr(float(w))
+
+
+def cmd_tables(args, out: Path):
     which = args.which
     try:
         table, extra = _build_table(args)
@@ -263,54 +267,43 @@ def cmd_tables(args) -> int:
         # the arguments were valid: the package built a table it rejects
         raise InternalError(f"table {which}: {exc}") from exc
 
-    outputs: list[Path] = []
+    tail = float(table.tail_bound)
     if args.format == "json":
-        path = out / f"table_{which}.json"
-        table.write_json(path)
+        outputs = [_write_json(out / f"table_{which}.json", {
+            "name": table.name, "tail_bound": tail, "n": table.n,
+            "rows": [{"value": _render_value(v), "weight": _render_weight(w),
+                      "weight_float": float(w), "tail_bound": tail}
+                     for v, w in table.items()]})]
     else:
-        path = out / f"table_{which}.csv"
-        table.write_csv(path)
-    outputs.append(path)
+        outputs = [_write_csv(
+            out / f"table_{which}.csv", ["value", "weight", "tail_bound"],
+            ([_render_value(v), _render_weight(w), repr(tail)]
+             for v, w in table.items()))]
     if extra:
-        side = out / f"table_{which}_summary.json"
-        with open(side, "w") as fh:
-            json.dump(extra, fh, indent=2)
-            fh.write("\n")
-        outputs.append(side)
+        outputs.append(_write_json(out / f"table_{which}_summary.json",
+                                   extra))
 
-    outputs.append(_write_manifest(out, "tables", args, {
-        "which": which, "format": args.format}, outputs, started))
     print(f"table {which}: {len(table.support)} rows, tail bound "
-          f"{float(table.tail_bound):.3g}")
+          f"{tail:.3g}")
     if which == "Tc":
         print(f"  E[T_c] = {laws.expected_Tc():.10g}")
     if which == "Z":
         print(f"  E[Z] = {extra['mean']}, Var[Z] = {extra['variance']:.7f}")
-    for p in outputs:
-        print(f"  wrote {p}")
-    return EXIT_OK
+    return {"which": which, "format": args.format}, outputs, {}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-def cmd_verify(args) -> int:
-    started = time.time()
-    _resolve_seed(args)
-    out = _out_dir(args)
+def cmd_verify(args, out: Path):
     suite = verify.run_suite(args.profile, seed=args.seed, only=args.criteria,
                              echo=print)
-    report_path = out / "verify_report.json"
-    with open(report_path, "w") as fh:
-        fh.write(suite.to_json())
-        fh.write("\n")
-    outputs = [report_path]
-    outputs.append(_write_manifest(out, "verify", args, {
-        "profile": args.profile, "criteria": args.criteria}, outputs, started))
+    report = _write_json(out / "verify_report.json", suite.to_dict())
     print(f"verify: profile={args.profile} seed={args.seed} -> "
           f"{'PASS' if suite.all_passed else 'FAIL'}")
-    print(f"  wrote {report_path}")
-    return EXIT_OK if suite.all_passed else EXIT_CHECK_FAILURE
+    config = {"profile": args.profile, "criteria": args.criteria}
+    code = EXIT_OK if suite.all_passed else EXIT_CHECK_FAILURE
+    return config, [report], {}, code
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +374,29 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.time()
+    out = Path(args.out or os.environ.get(ENV_OUT) or ".")
     try:
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            config, outputs, metrics, code = args.func(args, out)
+        outputs.append(_write_json(out / "manifest.json", {
+            "command": args.command,
+            "argv": sys.argv[1:] if argv is None else list(argv),
+            "config": config,
+            "seed": args.seed,
+            "versions": {
+                "lookdown": __version__,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+            },
+            "wall_clock_seconds": round(time.time() - started, 3),
+            "outputs": [str(p) for p in outputs],
+            "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "metrics": {**metrics, "peak_rss_mb": _peak_rss_mb()},
+            "warnings": warning_summary(caught),
+        }))
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -392,7 +406,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-
+    for p in outputs:
+        print(f"  wrote {p}")
+    return code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -9,7 +9,6 @@ C(k+1, 2) out of level k and exiting where they cross the level cap; their
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -258,16 +257,4 @@ def observables_at(stream: EventStream, t: float) -> MrcaObservables:
     i_t = 1 + int(np.searchsorted(knots_asc, b_t, side="right"))
     return MrcaObservables(time=t, mrca_time=a_t, fixation_level=y - 1,
                            coalescent_level=i_t, curve_count=int(births.size))
-
-
-# ---------------------------------------------------------------------------
-# Exports
-
-def export_points_csv(points: MrcaPointProcess, path) -> None:
-    """CSV "E,B" with 17-significant-digit floats."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["E", "B"])
-        for e, b in zip(points.establishment, points.living):
-            writer.writerow([format(float(e), ".17g"), format(float(b), ".17g")])
 

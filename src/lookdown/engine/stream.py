@@ -302,15 +302,3 @@ def generate_event_stream(config: EngineConfig) -> EventStream:
     """Lazy stream of independent rate-1 pair processes, seed-determined."""
     return EventStream(config)
 
-
-def export_events_jsonl(stream: EventStream, path) -> None:
-    """One record per event in [t_start, t_end] (burn-in left out),
-    {"t": float, "i": src, "j": dst}, time-sorted, written as json.dumps
-    writes it: the times are finite, and repr is json's float format."""
-    cfg = stream.config
-    with open(path, "w") as fh:
-        for times, srcs, dsts in stream.iter_chunks(cfg.t_start, cfg.t_end):
-            fh.write("".join(
-                f'{{"t": {t!r}, "i": {i}, "j": {j}}}\n'
-                for t, i, j in zip(times.tolist(), srcs.tolist(),
-                                   dsts.tolist())))

@@ -51,7 +51,7 @@ def simulate_substitutions(points: MrcaPointProcess, config: MutationConfig,
     (the same discard edge-correction the point process itself uses).
     """
     if points.establishment.size < 2:
-        raise ValidationError("need at least two MRCA points")
+        raise SampleSizeError("need at least two MRCA points")
     counts = rng.poisson(0.5 * config.theta * np.diff(points.living))
     return [SubstitutionEvent(float(time), int(s))
             for time, s in zip(points.establishment[1:], counts) if s > 0]

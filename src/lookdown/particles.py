@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import bisect
 import collections
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -465,13 +464,3 @@ def exit_gap_statistics(exits: Sequence[float]) -> ExitGapSummary:
         lag1_autocorrelation=stats.lag1_autocorrelation(gaps),
         dispersion=disp, n_windows=n_win)
 
-
-# ---------------------------------------------------------------------------
-# Exports
-
-def export_exits_csv(exits: Sequence[float], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["E"])
-        for e in exits:
-            writer.writerow([format(float(e), ".17g")])

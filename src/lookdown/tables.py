@@ -8,8 +8,6 @@ otherwise; truncated infinite supports carry an explicit ``tail_bound``.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,18 +20,6 @@ _TOTAL_TOL = 1e-9
 
 # the value of I on {B_t > t}; the (L, I) law puts mass 1/3 there
 INF = math.inf
-
-
-def render_value(v: Any) -> str:
-    if isinstance(v, tuple):
-        return "(" + " ".join(str(x) for x in v) + ")"
-    return str(v)
-
-
-def render_weight(w: Fraction | float) -> str:
-    if isinstance(w, Fraction):
-        return f"{w.numerator}/{w.denominator}"
-    return repr(float(w))
 
 
 @dataclass(frozen=True)
@@ -69,32 +55,6 @@ class PmfTable:
 
     def items(self) -> Iterator[tuple[Any, Fraction | float]]:
         return zip(self.support, self.weights)
-
-    def to_rows(self) -> list[dict[str, Any]]:
-        rows = []
-        for v, w in self.items():
-            rows.append({
-                "value": render_value(v),
-                "weight": render_weight(w),
-                "weight_float": float(w),
-                "tail_bound": float(self.tail_bound),
-            })
-        return rows
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["value", "weight", "tail_bound"])
-            for v, w in self.items():
-                writer.writerow([render_value(v), render_weight(w),
-                                 repr(float(self.tail_bound))])
-
-    def write_json(self, path) -> None:
-        payload = {"name": self.name, "tail_bound": float(self.tail_bound),
-                   "n": self.n, "rows": self.to_rows()}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
 
 
 def table_from_pairs(pairs: Iterable[tuple[Any, Fraction | float]],

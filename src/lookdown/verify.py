@@ -9,7 +9,6 @@ pinned here; nothing is deferred to later calibration.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import time
 import traceback
@@ -85,11 +84,10 @@ class SuiteResult:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "profile": self.profile, "seed": self.seed,
-            "pass": self.all_passed,
-            "checks": [r.to_dict() for r in self.results]}, indent=2)
+    def to_dict(self) -> dict:
+        return {"profile": self.profile, "seed": self.seed,
+                "pass": self.all_passed,
+                "checks": [r.to_dict() for r in self.results]}
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ final evaluation.
 
 Two independent routes are kept for everything the acceptance suite
 cross-checks: x_k by direct series summation vs the closed form, p_z by
-recursion vs the partition-sum formula, the pgf by the infinite product vs
-the weight series, and Var[Z] in closed form vs the series g''(1).
+recursion vs the partition-sum formula, the pgf in closed form (2 over a
+product of two Gamma values) vs the weight series, and Var[Z] in closed
+form vs the series g''(1).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
+from scipy.special import gamma
 
 from .errors import DomainError
 from .laws import zeta_even_pi_coeff
@@ -235,33 +237,17 @@ def pmf_Z_table(max_z: int) -> PmfTable:
     return table_from_pairs(pairs, tail_bound=max(tail, 0.0), name="Z")
 
 
-def _pgf_log_sum(u: float) -> float:
-    """sum_{i>=2} log((i(i+1) + 2(u-1)) / ((i+2)(i-1))).
-
-    Since (i+2)(i-1) = i(i+1) - 2, each term is log1p(c f(i)) with c = 2u;
-    summed directly to terms = 20000, then the linear part of the tail is
-    added through the exact telescoped sum of f.  The neglected curvature
-    is below c^2/(6 terms^3) < 1e-12.
-    """
-    terms = 20_000
-    c = 2.0 * u
-    i = np.arange(2, terms + 1, dtype=np.float64)
-    f = 1.0 / ((i + 2.0) * (i - 1.0))
-    s = float(np.sum(np.log1p(c * f)))
-    L = float(terms)
-    s += c * (1.0 / L + 1.0 / (L + 1.0) + 1.0 / (L + 2.0)) / 3.0
-    return s
-
-
-def _pgf_unchecked(u: float) -> float:
-    return math.exp(_pgf_log_sum(u)) / 3.0
-
-
 def pgf_Z(u: float) -> float:
-    """E[u^Z] via the infinite product, for u in [0, 1]."""
+    """E[u^Z] for u in [0, 1], in closed form.
+
+    Z is a sum of independent Bernoulli(p_l), p_l = 2/(l(l+1)) for l >= 2,
+    and the product of the factors 1 - p_l + p_l u is
+    2 / (Gamma((5 - s)/2) Gamma((5 + s)/2)) with s = sqrt(9 - 8u).
+    """
     if not 0.0 <= u <= 1.0:
         raise DomainError("pgf domain is [0, 1]")
-    return _pgf_unchecked(u)
+    s = math.sqrt(9.0 - 8.0 * u)
+    return float(2.0 / (gamma((5.0 - s) / 2.0) * gamma((5.0 + s) / 2.0)))
 
 
 def pgf_Z_series(u: float) -> float:

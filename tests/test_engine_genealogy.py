@@ -261,16 +261,6 @@ class TestMrcaPointProcess:
         with pytest.warns(StationarityWarning):
             engine.mrca_point_process(st)
 
-    def test_export_csv(self, tmp_path):
-        _, pp = self._pp(seed=19, t_end=50.0)
-        path = tmp_path / "points.csv"
-        engine.export_points_csv(pp, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "E,B"
-        assert len(lines) == pp.establishment.size + 1
-        e0 = float(lines[1].split(",")[0])
-        assert e0 == pp.establishment[0]  # 17 digits round-trips
-
 
 class TestObservables:
     def test_future_birth_convention(self):

@@ -1,4 +1,3 @@
-import json
 import math
 from collections import Counter
 
@@ -213,34 +212,3 @@ class TestQueriesAndExport:
         st = _stream()
         with pytest.raises(WindowRangeError):
             st.require_inside(101.0)
-
-    def test_jsonl_export(self, tmp_path):
-        st = _stream(level_cap=4, t_end=20.0, burn_in=5.0, seed=6)
-        path = tmp_path / "events.jsonl"
-        engine.export_events_jsonl(st, path)
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        # the burn-in [-5, 0) is left out
-        t, s, d = events_between(st, 0.0, 20.0)
-        assert len(rows) == len(t) < len(window_events(st)[0])
-        assert rows[0].keys() == {"t", "i", "j"}
-        assert rows[0]["t"] == t[0]
-        times = [r["t"] for r in rows]
-        assert times == sorted(times)
-
-    def test_jsonl_export_is_json_dumps(self, tmp_path):
-        # byte for byte what json.dumps writes, on a stream with times of
-        # every sign and size, integers among them
-        st = fixed_stream(
-            engine.EngineConfig(level_cap=6, t_start=-3.0, t_end=5e3,
-                                burn_in=1.0, seed=0),
-            [(-3.5, 1, 2), (-3.0, 2, 3), (-1e-300, 1, 6), (0.0, 4, 5),
-             (1 / 3, 1, 2), (2.0, 3, 6), (123.456789012345678, 2, 4),
-             (4999.999999999999, 1, 3), (5e3, 5, 6)])
-        path = tmp_path / "events.jsonl"
-        engine.export_events_jsonl(st, path)
-        t, s, d = events_between(st, -3.0, 5e3)
-        want = "".join(json.dumps({"t": a, "i": b, "j": c}) + "\n"
-                       for a, b, c in zip(t.tolist(), s.tolist(),
-                                          d.tolist()))
-        assert len(t) == 8
-        assert path.read_text() == want

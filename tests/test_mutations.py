@@ -62,9 +62,12 @@ class TestSimulateSubstitutions:
         bad = engine.MrcaPointProcess(
             establishment=pp.establishment[:1], living=pp.living[:1],
             window=pp.window, n_open=0)
-        with pytest.raises(ValidationError):
+        # one condition, one error, from both functions
+        with pytest.raises(SampleSizeError):
             mutations.simulate_substitutions(
                 bad, mutations.MutationConfig(theta=1.0), rng)
+        with pytest.raises(SampleSizeError):
+            mutations.substitution_mass_rate([], bad)
 
 
 class TestSampleTc:

@@ -78,9 +78,9 @@ SHARED = {
     "time": "MrcaObservables.time is the t column of simulate-lookdown, "
             "TransitionEvent.time goes to trajectory.jsonl and "
             "SubstitutionEvent.time to verify's dispersion check",
-    "to_dict": "CheckResult, ExitGapSummary and GofReport each serialize "
-               "into verify_report.json, ExitGapSummary also into the CLI's "
-               "gap summary",
+    "to_dict": "SuiteResult is verify_report.json; CheckResult, "
+               "ExitGapSummary and GofReport each serialize into it, "
+               "ExitGapSummary also into the CLI's gap summary",
     "window": "EngineConfig.window and EventStream.window bound every "
               "query; MrcaPointProcess.window, the window its points were "
               "taken in, has no reader in src/, but bench/ and tests/ "

@@ -20,7 +20,7 @@ REPORT_NAMES = [
 def test_fast_checks_pass_and_serialize():
     suite = verify.run_suite("quick", only=[1, 2, 10])
     assert suite.all_passed
-    payload = json.loads(suite.to_json())
+    payload = json.loads(json.dumps(suite.to_dict()))
     assert payload["pass"] is True
     assert [c["criterion"] for c in payload["checks"]] == [1, 2, 10]
     for c in payload["checks"]:
@@ -85,7 +85,7 @@ def test_raising_check_fails_alone(monkeypatch):
     assert "RuntimeError" in failed.reports[0]["traceback"]
     assert failed.seconds >= 0
     assert suite.results[0].passed and suite.results[2].passed
-    json.loads(suite.to_json())
+    json.loads(json.dumps(suite.to_dict()))
 
 
 def test_raising_checks_keep_their_names(monkeypatch):
@@ -115,7 +115,7 @@ def test_a_check_that_warns_then_raises_keeps_its_warning(monkeypatch):
         warnings.simplefilter("always")
         suite = verify.run_suite("quick", only=[1])
     assert not escaped
-    (check,) = json.loads(suite.to_json())["checks"]
+    (check,) = json.loads(json.dumps(suite.to_dict()))["checks"]
     assert not check["pass"]
     assert check["detail"] == "raised RuntimeError: boom"
     assert check["warnings"]["StationarityWarning"] == {
@@ -201,7 +201,7 @@ def test_particle_criteria_report_their_work():
     # 5 read criterion 3's run, alone or after it
     (alone,) = verify.run_suite("quick", only=[4]).results
     suite = verify.run_suite("quick", only=[1, 3, 4, 5, 9])
-    payload = json.loads(suite.to_json())["checks"]
+    payload = json.loads(json.dumps(suite.to_dict()))["checks"]
     assert payload[0]["work"] == {}
     for c in payload[1:]:
         work = c["work"]
@@ -221,7 +221,7 @@ def test_engine_criteria_report_their_work():
     # pairs of criterion 3's particle run and report its counters
     suite = verify.run_suite("quick", only=[3, 6, 7, 9, 11])
     assert suite.all_passed
-    c3, c6, c7, c9, c11 = json.loads(suite.to_json())["checks"]
+    c3, c6, c7, c9, c11 = json.loads(json.dumps(suite.to_dict()))["checks"]
     for c in (c6, c9):
         work = c["work"]
         assert work.keys() >= ENGINE_WORK
@@ -243,7 +243,7 @@ def test_warnings_are_counted_not_silenced(monkeypatch):
         warnings.simplefilter("always")
         suite = verify.run_suite("quick", only=[9])
     assert not escaped
-    (check,) = json.loads(suite.to_json())["checks"]
+    (check,) = json.loads(json.dumps(suite.to_dict()))["checks"]
     assert check["pass"]
     entry = check["warnings"]["StationarityWarning"]
     assert entry["count"] == 15
